@@ -25,10 +25,10 @@ from repro.graph.bipartite import BipartiteGraph, EdgeKind
 from repro.core.normalize import normalize_weights
 from repro.core.regularize import regularize
 from repro.core.schedule import Schedule, Step, Transfer
-from repro.core.wrgp import (
+from repro.core.wrgp import (  # noqa: F401 - peel_weight_regular re-exported
     MatchingStrategy,
     PeelEngine,
-    peel_rounds_approx,
+    peel_rounds,
     peel_weight_regular,
 )
 from repro.util.errors import ConfigError
@@ -60,7 +60,8 @@ def ggp(
         :func:`repro.core.oggp.oggp` for that).  All three produce valid
         2-approximations.
     engine:
-        Peeling engine (see :func:`repro.core.wrgp.peel_weight_regular`):
+        Peeling engine (see :func:`repro.core.wrgp.peel_weight_regular`
+        and :func:`repro.core.wrgp.peel_rounds`):
         ``'fast'`` (warm-started, default), ``'vector'`` (numpy core,
         bit-identical to ``'fast'``), ``'resume'`` (matching persisted
         across peels), ``'approx'`` (Etzold sparsification — fastest,
@@ -100,51 +101,30 @@ def ggp(
         peels = dropped = 0
         chunk_sizes = metrics.histogram("ggp.chunk_size")
 
-        # Both peel drivers feed the same step extractor as
-        # (original (edge_id, left, right) tuples, peel) rounds.  The
-        # array driver skips per-peel Matching/Edge materialisation —
-        # the difference between minutes and seconds at max_side ≈ 1000.
-        if engine == "approx" and matching == "bottleneck":
-            endpoints = {
-                eid: (left, right)
-                for eid, left, right, _w, kind in j.iter_edge_data()
-                if kind is EdgeKind.ORIGINAL
-            }
-            rounds = (
-                (
-                    [(eid, *endpoints[eid]) for eid in eids if eid in endpoints],
-                    peel,
-                )
-                for eids, peel in peel_rounds_approx(j)
-            )
-        else:
-            rounds = (
-                (
-                    [
-                        (e.id, e.left, e.right)
-                        for e in m.edges()
-                        if e.kind is EdgeKind.ORIGINAL
-                    ],
-                    peel,
-                )
-                for m, peel in peel_weight_regular(
-                    j, matching=matching, engine=engine
-                )
-            )
+        # Rounds are (matched edge ids, peel); only J's original edges
+        # ship data.  ``j`` may be consumed by the rounds, so the
+        # endpoints are read first.
+        endpoints = {
+            eid: (left, right)
+            for eid, left, right, _w, kind in j.iter_edge_data()
+            if kind is EdgeKind.ORIGINAL
+        }
+        rounds = peel_rounds(j, matching=matching, engine=engine)
         with obs.phase("ggp.peel"):
-            for originals, peel in rounds:
+            for eids, peel in rounds:
                 peels += 1
                 chunk = float(peel) * scale
                 chunk_sizes.observe(chunk)
                 transfers = []
-                for eid, left, right in originals:
+                # Most matched edges are filler or deficiency edges.
+                for eid in filter(endpoints.__contains__, eids):
                     amount = min(chunk, remaining[eid])
                     # Round-up arithmetic guarantees amount > 0 (the inflation is
                     # strictly less than one chunk), but guard against pathology.
                     if amount <= 0:  # pragma: no cover
                         continue
                     remaining[eid] -= amount
-                    transfers.append(Transfer(eid, left, right, amount))
+                    transfers.append(Transfer(eid, *endpoints[eid], amount))
                 if transfers:
                     steps.append(
                         Step(transfers, duration=max(t.amount for t in transfers))

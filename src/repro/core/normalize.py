@@ -19,7 +19,6 @@ otherwise erode the weight-regularity invariant).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,17 +53,34 @@ def normalize_weights(graph: BipartiteGraph, beta: float) -> NormalizedProblem:
     """
     if beta < 0:
         raise ConfigError(f"beta must be >= 0, got {beta}")
-    originals = {e.id: float(e.weight) for e in graph.edges()}
+    originals = {eid: float(w) for eid, _l, _r, w, _k in graph.iter_edge_data()}
     if beta == 0:
         normalized = graph.map_weights(lambda w: Fraction(w))
         return NormalizedProblem(graph=normalized, scale=1.0, original_weights=originals)
+    p, q = _integer_ratio(beta)
 
     def round_up(w):
-        # Exact rational division avoids float round-up anomalies like
-        # ceil(0.3 / 0.1) == 4.
-        return math.ceil(Fraction(w) / Fraction(beta))
+        # ceil((a/b) / (p/q)) in exact integer arithmetic, which avoids
+        # float round-up anomalies like ceil(0.3 / 0.1) == 4.
+        a, b = _integer_ratio(w)
+        return -((-a * q) // (b * p))
 
     normalized = graph.map_weights(round_up)
     return NormalizedProblem(
         graph=normalized, scale=float(beta), original_weights=originals
     )
+
+
+def _integer_ratio(x) -> tuple[int, int]:
+    """``x`` as ``(numerator, denominator)`` integers, exactly.
+
+    ``int``, ``float`` and ``Fraction`` answer ``as_integer_ratio()``
+    themselves; NumPy integer scalars do not, and go through
+    :class:`~fractions.Fraction` (whose parts stay NumPy integers, hence
+    the ``int`` casts: the products must not overflow 64 bits).
+    """
+    ratio = getattr(x, "as_integer_ratio", None)
+    if ratio is None:
+        x = Fraction(x)
+        return int(x.numerator), int(x.denominator)
+    return ratio()

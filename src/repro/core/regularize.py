@@ -170,7 +170,7 @@ def regularize(graph: BipartiteGraph, k: int) -> RegularizationResult:
 
 def _all_integral(graph: BipartiteGraph) -> bool:
     """True when every weight is an int (the β > 0 normalised case)."""
-    return all(isinstance(e.weight, int) for e in graph.edges())
+    return all(isinstance(w, int) for _e, _l, _r, w, _k in graph.iter_edge_data())
 
 
 def _fill_side(

@@ -403,11 +403,16 @@ def repair_plan(
                 None,
             ))
 
-        # Kept suffix: drop every affected edge's chunks, keep the rest.
+        # Kept suffix: drop every affected edge's chunks, and the dust
+        # chunks of edges whose remainder was clamped out of ``pending``
+        # (within tolerance, so not affected); keep the rest.
         dropped = set(affected)
         kept: list[Step] = []
         for step in suffix:
-            transfers = [t for t in step.transfers if t.edge_id not in dropped]
+            transfers = [
+                t for t in step.transfers
+                if t.edge_id in pending and t.edge_id not in dropped
+            ]
             if not transfers:
                 continue
             if len(transfers) == len(step.transfers):

@@ -98,12 +98,24 @@ def peel_weight_regular(
     :class:`ValueError`) listing the valid engines — eagerly, at call
     time, not at first iteration.
     """
+    _check_engine(engine)
+    return _peel_weight_regular(graph, matching, engine)
+
+
+def _check_engine(engine: str) -> None:
     if engine not in VALID_ENGINES:
         raise ConfigError(
             f"unknown peel engine {engine!r}; valid engines: "
             + ", ".join(repr(e) for e in VALID_ENGINES)
         )
-    return _peel_weight_regular(graph, matching, engine)
+
+
+def _check_square(graph: BipartiteGraph) -> None:
+    if graph.num_left != graph.num_right:
+        raise GraphError(
+            f"weight-regular graph must be square, got {graph.num_left} left "
+            f"vs {graph.num_right} right nodes"
+        )
 
 
 def _peel_weight_regular(
@@ -112,12 +124,8 @@ def _peel_weight_regular(
     engine: PeelEngine,
 ) -> Iterator[tuple[Matching, Number]]:
     previous: Matching | None = None
+    _check_square(graph)
     size = graph.num_left
-    if size != graph.num_right:
-        raise GraphError(
-            f"weight-regular graph must be square, got {graph.num_left} left "
-            f"vs {graph.num_right} right nodes"
-        )
     bottleneck_peeler: BottleneckPeeler | ApproxBottleneckPeeler | VectorBottleneckPeeler | None = None
     hungarian_peeler: HungarianPeeler | None = None
     if engine != "reference" and not graph.is_empty():
@@ -138,10 +146,12 @@ def _peel_weight_regular(
     peel_sizes = metrics.histogram("wrgp.peel_size")
     peels_here = 0
     while not graph.is_empty():
+        peel: Number | None = None
         if bottleneck_peeler is not None:
             m = bottleneck_peeler.next_matching()
         elif hungarian_peeler is not None:
-            m = hungarian_peeler.next_matching()
+            eids, peel = hungarian_peeler.next_matching()
+            m = Matching(map(graph.edge, eids))
         elif matching == "bottleneck":
             m = bottleneck_matching(graph, require="perfect")
         elif matching == "max_weight":
@@ -160,7 +170,8 @@ def _peel_weight_regular(
                     "no perfect matching found — input graph was not "
                     "weight-regular (peeling would preserve regularity)"
                 )
-        peel = m.min_weight()
+        if peel is None:
+            peel = m.min_weight()
         if peel <= 0:  # pragma: no cover - positive weights guarantee this
             raise GraphError(f"non-positive peel amount {peel!r}")
         peel_counter.inc()
@@ -180,48 +191,78 @@ def _peel_weight_regular(
         previous = m
 
 
-def peel_rounds_approx(graph: BipartiteGraph) -> Iterator[tuple[list[int], Number]]:
-    """Array-level approx peel rounds: yields ``(matched edge ids, peel)``.
+def peel_rounds(
+    graph: BipartiteGraph,
+    matching: MatchingStrategy = "arbitrary",
+    engine: PeelEngine = "fast",
+) -> Iterator[tuple[list[int], Number]]:
+    """Peel ``graph`` as rounds of ``(matched edge ids, peel amount)``.
 
-    The fast-path equivalent of
-    ``peel_weight_regular(matching='bottleneck', engine='approx')`` for
-    callers that only need edge ids (the GGP step extractor): no
-    ``Matching``/``Edge`` objects are materialised per peel and the
-    graph is never mutated — :class:`repro.matching.vector.ApproxPeelCore`
-    owns the weights — which is what lets ``engine='approx'`` reach
-    ``max_side`` ≈ 1000.  Requires integer (normalised) weights so the
-    remaining-weight countdown is exact.  Posts the same ``wrgp.*`` and
-    ``matching.bottleneck.*`` metrics as the generic loop.
+    GGP's round source.  Two strategies run on array cores that own
+    their weights — no per-peel ``Matching``/``Edge`` objects and no
+    graph mutation, which is what lets ``'approx'`` reach ``max_side``
+    ≈ 1000:
+
+    - ``'max_weight'`` under every engine but ``'reference'``:
+      :class:`~repro.matching.peeler.HungarianPeeler`, bit-identical to
+      the stateless path (ids ascending);
+    - ``'bottleneck'`` under ``'approx'``:
+      :class:`~repro.matching.vector.ApproxPeelCore` (ids in left-node
+      order; it needs exact, normalised weights for its countdown).
+
+    Every other strategy adapts :func:`peel_weight_regular`, which
+    consumes ``graph``.  Like it, posts the ``wrgp.*`` metrics and
+    ``peel.progress`` events and rejects an unknown ``engine`` at call
+    time.
     """
-    size = graph.num_left
-    if size != graph.num_right:
-        raise GraphError(
-            f"weight-regular graph must be square, got {graph.num_left} left "
-            f"vs {graph.num_right} right nodes"
-        )
-    if graph.is_empty():
+    _check_engine(engine)
+    return _peel_rounds(graph, matching, engine)
+
+
+def _peel_rounds(
+    graph: BipartiteGraph,
+    matching: MatchingStrategy,
+    engine: PeelEngine,
+) -> Iterator[tuple[list[int], Number]]:
+    _check_square(graph)
+    hungarian = approx = None
+    if engine != "reference" and not graph.is_empty():
+        if matching == "max_weight":
+            hungarian = HungarianPeeler(graph)
+        elif matching == "bottleneck" and engine == "approx":
+            approx = ApproxPeelCore(graph)
+    if hungarian is None and approx is None:
+        for m, peel in peel_weight_regular(graph, matching=matching, engine=engine):
+            yield [e.id for e in m.edges()], peel
         return
-    core = ApproxPeelCore(graph)
     metrics = obs.metrics()
     peel_counter = metrics.counter("wrgp.peels")
     peel_sizes = metrics.histogram("wrgp.peel_size")
-    calls = metrics.counter("matching.bottleneck.calls")
-    probe_counter = metrics.counter("matching.bottleneck.threshold_probes")
+    if approx is not None:
+        calls = metrics.counter("matching.bottleneck.calls")
+        probe_counter = metrics.counter("matching.bottleneck.threshold_probes")
     peels_here = 0
-    while core.remaining > 0:
-        matched, peel, probes = core.next_round()
-        calls.inc()
-        probe_counter.inc(probes)
+    while True:
+        # ``live`` is the edge count before this round's peel, as
+        # ``graph.num_edges`` is in the generic loop's progress beacon.
+        if hungarian is not None:
+            live = hungarian.live
+            if not live:
+                return
+            eids, peel = hungarian.next_matching()
+        else:
+            if approx.remaining <= 0:
+                return
+            eids, peel, probes = approx.next_round()
+            live = approx.live
+            calls.inc()
+            probe_counter.inc(probes)
         peel_counter.inc()
         peel_sizes.observe(float(peel))
         peels_here += 1
         if peels_here % 64 == 0:
-            obs.emit(
-                "peel.progress",
-                peels=peels_here,
-                remaining_edges=core.live,
-            )
-        yield matched, peel
+            obs.emit("peel.progress", peels=peels_here, remaining_edges=live)
+        yield eids, peel
 
 
 def wrgp(

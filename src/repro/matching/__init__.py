@@ -10,7 +10,8 @@
   a baseline and as a warm-start seed.
 - :class:`BottleneckPeeler` / :class:`HungarianPeeler` — warm-started
   engines that keep sorted indices, node maps and matrix state alive
-  across the WRGP/GGP/OGGP peeling loops.
+  across the WRGP/GGP/OGGP peeling loops (the Hungarian one also owns
+  its weights and yields ``(edge ids, peel)`` rounds).
 - :func:`hopcroft_karp_vec` / :class:`VectorBottleneckPeeler` — the
   int-array numpy core (``engine='vector'``): bit-identical results,
   frontier-at-a-time BFS and exact probe skipping.

@@ -33,10 +33,9 @@ def _solve_max(score: np.ndarray) -> list[int]:
     """Max-score assignment: SciPy when available, pure Python otherwise."""
     if _scipy_lsa is not None:
         row, col = _scipy_lsa(score, maximize=True)
-        out = [-1] * score.shape[0]
-        for i, j in zip(row.tolist(), col.tolist()):
-            out[i] = j
-        return out
+        out = np.full(score.shape[0], -1)
+        out[row] = col
+        return out.tolist()
     from repro.matching.assignment import solve_assignment_max
 
     return solve_assignment_max(score)

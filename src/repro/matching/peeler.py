@@ -26,20 +26,24 @@ state across peels:
   still, but the warm matching state steers the augmentation toward
   *different* (equally optimal) bottleneck matchings, so peel sequences
   — and occasionally step counts — can differ from the replay path.
-- :class:`HungarianPeeler` caches the dense score matrix, the
-  ``left_pos``/``right_pos`` node indexing, and the per-pair
-  best-parallel-edge table, updating only the entries touched by the
-  last peel.  The assignment solve sees a matrix identical to the one
-  the stateless path would build, so its matchings are unchanged.
+- :class:`HungarianPeeler` snapshots the graph into arrays it owns —
+  exact per-edge weights, the dense score matrix and the per-cell
+  best-parallel-edge table — and applies each peel to them itself, so
+  a round is ``(matched edge ids, peel)`` with no ``Edge``/``Matching``
+  built and no graph read.  The assignment solve sees a matrix
+  identical to the one the stateless path would build, so its
+  matchings are unchanged.
 
-Contract: between two ``next_matching()`` calls, only the edges of the
-previously returned matching may change (the WRGP peel invariant).
+Contract for :class:`BottleneckPeeler`: between two ``next_matching()``
+calls, only the edges of the previously returned matching may change
+(the WRGP peel invariant).
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, insort
+from operator import add
 from typing import Literal
 
 import numpy as np
@@ -323,16 +327,16 @@ class BottleneckPeeler:
 
 
 class HungarianPeeler:
-    """Cross-peel warm-started maximum-weight perfect matchings.
+    """Maximum-weight perfect matching rounds over arrays the peeler owns.
 
-    Equivalent to calling
-    :func:`~repro.matching.hungarian.hungarian_perfect_matching` per
-    peel: the node indexing, score matrix, and per-pair best-edge table
-    persist; a peel only refreshes the matrix cells of the pairs it
-    touched.  The assignment solver receives a matrix numerically
-    identical to the one the stateless path builds (same weights, same
-    missing-pair sentinel recomputed from the current total weight), so
-    the chosen matchings — and therefore the schedules — are identical.
+    Equivalent to peeling with
+    :func:`~repro.matching.hungarian.hungarian_perfect_matching` every
+    round.  The graph is read once, at construction: per edge its exact
+    remaining weight (whatever number type the graph holds); per
+    ``(left, right)`` cell a float score, a feasibility flag and the
+    best edge id, with ascending id lists only for multi-edge cells.
+    :meth:`next_matching` solves the matrix the stateless path would
+    build from the peeled graph, then applies the peel to these arrays.
     """
 
     def __init__(self, graph: BipartiteGraph) -> None:
@@ -343,75 +347,113 @@ class HungarianPeeler:
                 f"perfect matching impossible: {len(lefts)} left vs "
                 f"{len(rights)} right nodes"
             )
-        self.graph = graph
         self._n = n = len(lefts)
-        lidx = {node: i for i, node in enumerate(lefts)}
-        ridx = {node: j for j, node in enumerate(rights)}
-        #: (i, j) -> ascending edge ids of all parallel edges ever seen.
-        self._pair_ids: dict[tuple[int, int], list[int]] = {}
-        self._cell_of: dict[int, tuple[int, int]] = {}
-        self._score = np.zeros((n, n), dtype=float)
-        self._feasible = np.zeros((n, n), dtype=bool)
-        self._best_id: dict[tuple[int, int], int] = {}
-        for eid in graph.edge_ids():
-            left, right = graph.edge_endpoints(eid)
-            cell = (lidx[left], ridx[right])
-            self._pair_ids.setdefault(cell, []).append(eid)
-            self._cell_of[eid] = cell
-        for cell in self._pair_ids:
-            self._refresh_cell(cell)
-        self._last_cells: list[tuple[int, int]] = []
+        row = {node: i * n for i, node in enumerate(lefts)}
+        col = {node: j for j, node in enumerate(rights)}
+        self._w: list[Number] = [0] * (max(graph.edge_ids(), default=-1) + 1)
+        w = self._w
+        by_cell: dict[int, list[int]] = {}
+        for eid, left, right, weight, _kind in graph.iter_edge_data():
+            w[eid] = weight
+            by_cell.setdefault(row[left] + col[right], []).append(eid)
+        #: Edges with weight left, and their exact total weight.
+        self.live = graph.num_edges
+        self.remaining: Number = graph.total_weight()
+        #: cell -> ascending ids of its edges, for multi-edge cells only.
+        self._parallel = {
+            cell: sorted(ids) for cell, ids in by_cell.items() if len(ids) > 1
+        }
+        self._best = [-1] * (n * n)
+        cells, scores = [], []
+        for cell, ids in by_cell.items():
+            if len(ids) > 1:
+                eid, score = self._best_parallel(self._parallel[cell])
+            else:
+                eid = ids[0]
+                score = float(w[eid])
+            self._best[cell] = eid
+            cells.append(cell)
+            scores.append(score)
+        self._score = np.zeros(n * n, dtype=float)
+        self._score[cells] = scores
+        self._feasible = np.zeros(n * n, dtype=bool)
+        self._feasible[cells] = True
+        #: Flat index of each row's first cell.
+        self._rows = range(0, n * n, n)
 
-    def _refresh_cell(self, cell: tuple[int, int]) -> None:
-        """Recompute one matrix cell from the pair's live parallel edges.
+    def _best_parallel(self, ids: list[int]) -> tuple[int, float]:
+        """Live edge with the largest float weight, ties to the smaller id.
 
-        Best edge = maximum weight, ties to the smallest id — the same
-        edge the stateless path's strict ``>`` over id-ordered edges
-        selects.
+        ``ids`` ascend, so a strict ``>`` keeps the smallest id of a tie
+        — the edge the stateless path records.  ``(-1, -inf)`` when no
+        edge of the cell has weight left.
         """
-        graph = self.graph
+        w = self._w
         best_eid = -1
-        best_w = -_INF
-        for eid in self._pair_ids[cell]:
-            if not graph.has_edge_id(eid):
-                continue
-            w = float(graph.edge_weight(eid))
-            if w > best_w:
-                best_w = w
-                best_eid = eid
-        if best_eid < 0:
-            self._feasible[cell] = False
-            self._best_id.pop(cell, None)
-        else:
-            self._feasible[cell] = True
-            self._score[cell] = best_w
-            self._best_id[cell] = best_eid
+        best_score = -_INF
+        for eid in ids:
+            if w[eid]:
+                score = float(w[eid])
+                if score > best_score:
+                    best_eid = eid
+                    best_score = score
+        return best_eid, best_score
 
-    def next_matching(self) -> Matching:
-        """Maximum-weight perfect matching of the graph's current state."""
+    def _refresh_parallel(self, cells: list[int]) -> None:
+        """Re-pick the best edge of each touched multi-edge cell."""
+        parallel = self._parallel
+        for cell in cells:
+            ids = parallel.get(cell)
+            if ids is not None:
+                eid, score = self._best_parallel(ids)
+                self._best[cell] = eid
+                if eid >= 0:
+                    self._score[cell] = score
+                    self._feasible[cell] = True
+
+    def next_matching(self) -> tuple[list[int], Number]:
+        """One peel round: ``(sorted matched edge ids, peel amount)``.
+
+        Solves the maximum-weight perfect matching of the remaining
+        weights, then peels its minimum weight off every matched edge.
+        Raises :class:`MatchingError` when no perfect matching exists.
+        """
         from repro.matching.hungarian import _solve_max
 
-        graph = self.graph
-        for cell in self._last_cells:
-            self._refresh_cell(cell)
         n = self._n
         metrics = obs.metrics()
         metrics.counter("matching.hungarian.calls").inc()
         if n == 0:
-            return Matching()
+            return [], 0
         metrics.histogram("matching.hungarian.size").observe(n)
-        # Missing-pair sentinel far below any feasible total; recomputed
-        # from the *current* total weight, exactly as the stateless path
-        # does, so the solver input matches it bit for bit.
-        total = float(graph.total_weight())
-        missing = -(total + 1.0) * (n + 1)
-        score = np.where(self._feasible, self._score, missing)
-        assignment = _solve_max(score)
-        edges = []
-        for i, j in enumerate(assignment):
-            eid = self._best_id.get((i, j))
-            if eid is None:
-                raise MatchingError("graph has no perfect matching")
-            edges.append(graph.edge(eid))
-        self._last_cells = [self._cell_of[e.id] for e in edges]
-        return Matching(edges)
+        # Missing-pair sentinel far below any feasible total, from the
+        # exact remaining total, exactly as the stateless path does.
+        missing = -(float(self.remaining) + 1.0) * (n + 1)
+        score = np.where(self._feasible, self._score, missing).reshape(n, n)
+        cells = list(map(add, self._rows, _solve_max(score)))
+        best = self._best
+        eids = list(map(best.__getitem__, cells))
+        if -1 in eids:
+            raise MatchingError("graph has no perfect matching")
+        w = self._w
+        # Rows in order, like ``Matching.min_weight`` of the stateless
+        # result: with mixed int/float weights a tie keeps the same type.
+        peel = min(map(w.__getitem__, eids))
+        rests = [w[eid] - peel for eid in eids]
+        remaining = self.remaining
+        for eid, rest in zip(eids, rests):
+            w[eid] = rest
+            remaining -= peel  # per edge, as the graph's running total
+        self.remaining = remaining
+        # Exhausted cells keep a stale score; the mask hides it.
+        self._score[cells] = list(map(float, rests))
+        if 0 in rests:
+            dead = [cell for cell, rest in zip(cells, rests) if not rest]
+            self.live -= len(dead)
+            self._feasible[dead] = False
+            for cell in dead:
+                best[cell] = -1
+        if self._parallel:
+            self._refresh_parallel(cells)
+        eids.sort()
+        return eids, peel

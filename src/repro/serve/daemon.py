@@ -363,6 +363,12 @@ class ScheduleServer:
                     break
                 response = await self._handle_request(doc, blob)
                 await self._send(writer, response)
+        except asyncio.CancelledError:
+            # stop() cancels open handlers.  Returning normally (the
+            # writer still closes below) keeps the stream protocol's
+            # done-callback from logging the cancellation as an error.
+            if not self._shutting_down:
+                raise
         except ProtocolError as exc:
             # Malformed/corrupt/stalled frame: answer with a structured
             # error when the socket still works, then drop the

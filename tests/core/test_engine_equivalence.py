@@ -10,15 +10,23 @@ different (equally valid) matchings — it only promises a correct
 schedule.
 """
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.ggp import ggp
 from repro.core.oggp import oggp
 from repro.core.wrgp import wrgp
-from repro.graph.generators import random_weight_regular
-from repro.util.errors import ConfigError
+from repro.graph.generators import (
+    from_traffic_matrix,
+    random_bipartite,
+    random_weight_regular,
+)
+from repro.util.errors import ConfigError, MatchingError
 from tests.conftest import bipartite_graphs, betas, ks
 
 strategies = st.sampled_from(["arbitrary", "max_weight", "bottleneck"])
@@ -51,6 +59,89 @@ class TestFastEqualsReference:
         ref = wrgp(g, beta=beta, matching=matching, engine="reference")
         assert fast.to_dict() == ref.to_dict()
         fast.validate(g)
+
+
+def _outcome(run):
+    """A schedule's dict, or the error a peel raised (float drift)."""
+    try:
+        return run().to_dict()
+    except MatchingError as exc:
+        return f"MatchingError: {exc}"
+
+
+class TestMaxWeightArrayCore:
+    """``matching='max_weight'`` runs on the Hungarian array core under
+    every engine but ``'reference'``; it must reproduce the stateless
+    path exactly, whatever the weight type."""
+
+    array_engines = ("fast", "vector", "approx")
+
+    @given(bipartite_graphs(integer_weights=False), ks, betas)
+    @settings(max_examples=50, deadline=None)
+    def test_ggp_non_integer_weights(self, g, k, beta):
+        ref = ggp(g, k, beta, matching="max_weight", engine="reference")
+        for engine in self.array_engines:
+            got = ggp(g, k, beta, matching="max_weight", engine=engine)
+            assert got.to_dict() == ref.to_dict()
+        ref.validate(g)
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 7),
+        st.sampled_from([1, 0.75, 0.37, Fraction(1, 3)]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_wrgp_parallel_edges_and_weight_types(self, seed, n, scale):
+        g = random_weight_regular(seed, n=n, merge_parallel=False).map_weights(
+            lambda w: w * scale
+        )
+        ref = _outcome(
+            lambda: wrgp(g, beta=1.0, matching="max_weight", engine="reference")
+        )
+        for engine in self.array_engines:
+            got = _outcome(
+                lambda: wrgp(g, beta=1.0, matching="max_weight", engine=engine)
+            )
+            assert got == ref
+
+    def test_golden_dense_instance_at_benchmark_scale(self):
+        # 52x48 U{1..20}, k=10, beta=1: a regularized side of about 90
+        # and about 1,500 peels, where per-peel bookkeeping dominates.
+        weights = np.random.default_rng(52).integers(1, 21, size=(52, 48))
+        g = from_traffic_matrix(weights)
+        fast = ggp(g, 10, 1.0, engine="fast")
+        ref = ggp(g, 10, 1.0, engine="reference")
+        assert fast.to_dict() == ref.to_dict()
+        fast.validate(g)
+
+    def test_identical_without_scipy(self, monkeypatch):
+        import repro.matching.hungarian as hungarian
+
+        monkeypatch.setattr(hungarian, "_scipy_lsa", None)
+        g = random_bipartite(4, max_side=6, max_edges=30)
+        fast = ggp(g, 3, 1.0, engine="fast")
+        ref = ggp(g, 3, 1.0, engine="reference")
+        assert fast.to_dict() == ref.to_dict()
+        fast.validate(g)
+
+    def test_telemetry_matches_reference(self):
+        g = from_traffic_matrix(
+            np.random.default_rng(3).integers(1, 21, size=(20, 16))
+        )
+        names = ("wrgp.peels", "ggp.peels", "matching.hungarian.calls")
+
+        def observe(engine):
+            with obs.observed() as (registry, _tracer):
+                ggp(g, 4, 1.0, engine=engine)
+                progress = [
+                    e.fields for e in obs.events().tail()
+                    if e.kind == "peel.progress"
+                ]
+            return {n: registry.counter(n).value for n in names}, progress
+
+        fast = observe("fast")
+        assert fast == observe("reference")
+        assert fast[1], "expected at least one peel.progress beacon"
 
 
 class TestResumeEngine:

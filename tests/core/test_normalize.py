@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,6 +49,32 @@ class TestPositiveBeta:
         g = BipartiteGraph.from_edges([(0, 0, 2.5), (1, 1, 7.0)])
         problem = normalize_weights(g, beta=2.0)
         assert sorted(problem.original_weights.values()) == [2.5, 7.0]
+
+    @given(
+        st.one_of(
+            st.integers(1, 10**12),
+            st.floats(1e-9, 1e9),
+            st.integers(1, 10**12).map(np.int64),
+            st.integers(1, 10**6).map(np.int32),
+            st.floats(1e-9, 1e9).map(np.float64),
+            st.fractions(min_value=Fraction(1, 10**9), max_value=10**9).filter(
+                lambda f: f > 0
+            ),
+        ),
+        st.one_of(
+            st.sampled_from([0.1, 0.3, 0.5, 1, 1.0, 3.0, np.float64(0.7)]),
+            st.floats(1e-6, 1e3),
+        ),
+    )
+    @settings(max_examples=300)
+    def test_integer_ceiling_matches_fraction_formula(self, w, beta):
+        problem = normalize_weights(BipartiteGraph.from_edges([(0, 0, w)]), beta)
+        got = problem.graph.edge_weight(0)
+        assert type(got) is int
+        # ``item()``: a Fraction of a NumPy int keeps NumPy parts, which
+        # overflow in the division below.
+        exact = Fraction(w.item() if isinstance(w, np.generic) else w)
+        assert got == math.ceil(exact / Fraction(beta))
 
 
 class TestZeroBeta:

@@ -13,7 +13,7 @@ from repro.core.repair import (
     apply_traffic_delta,
     repair_plan,
 )
-from repro.core.schedule import Schedule
+from repro.core.schedule import Schedule, Step, Transfer
 from repro.graph.bipartite import BipartiteGraph
 from repro.resilience.churn import ChurnSpec
 from repro.util.errors import ConfigError
@@ -199,6 +199,37 @@ class TestRepairPlan:
             repair_plan(plan, 0, {}, edges_of(SMALL), max_ratio=0.5)
         with pytest.raises(ConfigError):
             repair_plan(plan, 0, {}, edges_of(SMALL), max_affected_frac=2.0)
+
+    def test_clamped_dust_chunk_does_not_break_the_splice(self):
+        # Edge 0 shipped 1.5 of 1.5000000000000002: its remainder is
+        # clamped out of ``pending`` and its 2.2e-16 suffix chunk is
+        # within tolerance, so it is not affected either.  Resizing edge
+        # 1 forces a splice, which must drop that dust chunk instead of
+        # failing verification on an edge with no pending traffic.
+        dust = 1.5000000000000002
+        plan = Schedule(
+            [
+                Step([Transfer(0, 0, 0, 1.5), Transfer(2, 1, 1, 1.0)]),
+                Step([
+                    Transfer(0, 0, 0, dust - 1.5),
+                    Transfer(2, 1, 1, 1.0),
+                    Transfer(3, 2, 2, 1.0),
+                ]),
+                Step([Transfer(1, 3, 3, 1.0)]),
+            ],
+            k=3,
+            beta=0.5,
+        )
+        edges = {
+            0: (0, 0, dust), 1: (3, 3, 10.0), 2: (1, 1, 2.0), 3: (2, 2, 1.0)
+        }
+        result = repair_plan(plan, 1, {0: 1.5, 2: 1.0}, edges)
+        assert result.mode == "splice"
+        assert result.affected == (1,)
+        assert 0 not in result.pending
+        assert result.remainder.transferred_per_edge() == {
+            1: 10.0, 2: 1.0, 3: 1.0
+        }
 
     def test_result_ratio(self):
         plan = plan_of(SMALL)

@@ -55,11 +55,6 @@ class Event:
             raise SimulationError("event value is not yet available")
         return self._value
 
-    @property
-    def is_error(self) -> bool:
-        """True when the event was failed with an exception."""
-        return self._is_error
-
     # -- triggering ------------------------------------------------------
 
     def succeed(self, value: Any = None) -> "Event":

@@ -120,6 +120,18 @@ def complete_bipartite(
     return g
 
 
+def _traffic_array(matrix) -> np.ndarray:
+    """``matrix`` as a float array, checked 2-D, finite and non-negative."""
+    arr = np.asarray(matrix, dtype=float)
+    if arr.ndim != 2:
+        raise GraphError(f"traffic matrix must be 2-D, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise GraphError("traffic matrix entries must be finite")
+    if (arr < 0).any():
+        raise GraphError("traffic matrix entries must be non-negative")
+    return arr
+
+
 def from_traffic_matrix(
     matrix: Sequence[Sequence[Number]] | np.ndarray,
     speed: Number = 1,
@@ -130,15 +142,12 @@ def from_traffic_matrix(
     to node ``j`` of cluster 2; the edge weight is the transfer *time*
     ``m[i][j] / speed`` (paper §2.2).  Zero entries produce no edge.
     All rows/columns are materialised as nodes even when empty, so node
-    indexing matches the matrix.
+    indexing matches the matrix.  Raises :class:`GraphError` unless the
+    matrix is 2-D, finite and non-negative.
     """
-    arr = np.asarray(matrix, dtype=float)
-    if arr.ndim != 2:
-        raise GraphError(f"traffic matrix must be 2-D, got shape {arr.shape}")
+    arr = _traffic_array(matrix)
     if speed <= 0:
         raise GraphError(f"speed must be positive, got {speed!r}")
-    if (arr < 0).any():
-        raise GraphError("traffic matrix entries must be non-negative")
     g = BipartiteGraph()
     n1, n2 = arr.shape
     for i in range(n1):

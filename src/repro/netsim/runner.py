@@ -9,6 +9,7 @@ step by step.
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -18,14 +19,14 @@ from repro import obs
 from repro.core.cache import DEFAULT_SCHEDULE_CACHE, ScheduleCache, cached_schedule
 from repro.core.schedule import Schedule
 from repro.graph.generators import from_traffic_matrix
-from repro.netsim.stepwise import StepwiseResult, simulate_schedule
+from repro.netsim import watch
 from repro.netsim.tcp import TcpParams, simulate_bruteforce
 from repro.netsim.topology import NetworkSpec
 from repro.resilience.faults import FaultPlan
-from repro.resilience.journal import CheckpointStore, RunMeta
-from repro.resilience.recovery import recovery_k, verify_recovery_schedule
+from repro.resilience.journal import CheckpointStore
+from repro.resilience.recovery import _drive, _opened, _Run
 from repro.resilience.retry import RetryPolicy
-from repro.util.errors import ConfigError, GraphError
+from repro.util.errors import ConfigError
 from repro.util.rng import RngStream, derive_rng
 
 Method = Literal["bruteforce", "ggp", "oggp"]
@@ -127,171 +128,6 @@ def build_schedule_batch(
     )
 
 
-def _cell_edges(traffic: np.ndarray) -> dict[int, tuple[int, int, float]]:
-    """Stable edge labelling of a traffic matrix's positive cells.
-
-    Row-major enumeration, so the same matrix always yields the same
-    edge ids — the ids the checkpoint journal is keyed by.
-    """
-    edges: dict[int, tuple[int, int, float]] = {}
-    eid = 0
-    n1, n2 = traffic.shape
-    for i in range(n1):
-        for j in range(n2):
-            if traffic[i, j] > 0:
-                edges[eid] = (i, j, float(traffic[i, j]))
-                eid += 1
-    return edges
-
-
-def _journal_round(
-    store: CheckpointStore | None,
-    cell_eid: dict[tuple[int, int], int],
-    before: np.ndarray,
-    after: np.ndarray,
-    round_index: int,
-) -> None:
-    """Record one simulated round's delivered Mbit per original cell."""
-    if store is None:
-        return
-    deltas: dict[int, float] = {}
-    for (i, j), eid in cell_eid.items():
-        moved = float(before[i, j] - after[i, j])
-        if moved > 0:
-            deltas[eid] = moved
-    store.record_round(deltas, round_index)
-
-
-def _scheduled_redistribution(
-    spec: NetworkSpec,
-    traffic: np.ndarray,
-    method: Literal["ggp", "oggp"],
-    rng: RngStream | int | None,
-    rate_jitter: float,
-    cache: ScheduleCache | None,
-    faults: FaultPlan | None,
-    retry: RetryPolicy,
-    store: CheckpointStore | None,
-    cell_eid: dict[tuple[int, int], int],
-    first_round: int,
-    engine: str = "fast",
-) -> tuple[Schedule, float, int, float, int, np.ndarray]:
-    """Initial scheduled run + recovery rounds over ``traffic``.
-
-    Returns ``(schedule, total_time, num_steps, recovery_time, rounds,
-    residual)``.  Rounds are numbered from ``first_round`` (continuing
-    a resumed run's fault-round sequence) and journaled to ``store``.
-    """
-    metrics = obs.metrics()
-    obs.emit(
-        "run.start",
-        engine="netsim",
-        method=method,
-        k=spec.k,
-        beta=spec.step_setup,
-        volume_mbit=float(traffic.sum()),
-        checkpointed=store is not None,
-    )
-    with obs.phase("netsim.build_schedule"):
-        schedule = build_schedule(
-            spec, traffic, method, cache=cache, engine=engine
-        )
-    # Schedule amounts are seconds at flow_rate; convert back to Mbit.
-    result = simulate_schedule(
-        spec,
-        schedule,
-        volume_scale=spec.flow_rate,
-        rng=derive_rng(rng),
-        rate_jitter=rate_jitter,
-        faults=faults,
-        fault_round=first_round,
-    )
-    total_time = result.total_time
-    num_steps = result.num_steps
-    recovery_time = 0.0
-    rounds = 0
-    residual = _residual_traffic(spec, schedule, result, traffic.shape)
-    _journal_round(store, cell_eid, traffic, residual, first_round)
-    obs.emit(
-        "round.result",
-        round=first_round,
-        steps=result.num_steps,
-        sim_seconds=result.total_time,
-        undelivered_mbit=float(residual.sum()),
-    )
-    attempt = 1
-    round_index = first_round
-    degraded = bool(result.degraded_steps)
-    while residual.sum() > 0 and retry.allows_retry(attempt):
-        attempt += 1
-        rounds += 1
-        round_index += 1
-        rk = recovery_k(spec.k, faults, degraded)
-        obs.emit(
-            "recovery.start",
-            round=round_index,
-            pending_mbit=float(residual.sum()),
-            k=rk,
-            degraded=degraded,
-        )
-        recovery_graph = from_traffic_matrix(residual, speed=spec.flow_rate)
-        recovery_schedule = cached_schedule(
-            recovery_graph,
-            k=rk,
-            beta=spec.step_setup,
-            algorithm=method,
-            engine=engine,
-            cache=cache,
-        )
-        verify_recovery_schedule(recovery_graph, recovery_schedule)
-        recovery_result = simulate_schedule(
-            spec,
-            recovery_schedule,
-            volume_scale=spec.flow_rate,
-            rng=derive_rng(rng),
-            rate_jitter=rate_jitter,
-            faults=faults,
-            fault_round=round_index,
-        )
-        total_time += recovery_result.total_time
-        recovery_time += recovery_result.total_time
-        num_steps += recovery_result.num_steps
-        metrics.counter("resilience.recovery_rounds").inc()
-        metrics.counter("resilience.recovery_steps").inc(
-            recovery_result.num_steps
-        )
-        metrics.counter("resilience.retries").inc()
-        metrics.counter("resilience.retries.netsim").inc()
-        next_residual = _residual_traffic(
-            spec, recovery_schedule, recovery_result, traffic.shape
-        )
-        _journal_round(store, cell_eid, residual, next_residual, round_index)
-        residual = next_residual
-        degraded = bool(recovery_result.degraded_steps)
-        obs.emit(
-            "recovery.result",
-            round=round_index,
-            steps=recovery_result.num_steps,
-            sim_seconds=recovery_result.total_time,
-            undelivered_mbit=float(residual.sum()),
-        )
-    if recovery_time > 0:
-        metrics.counter("resilience.recovery_overhead_seconds").inc(
-            recovery_time
-        )
-    if store is not None and residual.sum() == 0:
-        store.mark_complete()
-    obs.emit(
-        "run.complete",
-        engine="netsim",
-        rounds=rounds,
-        sim_seconds=total_time,
-        undelivered_mbit=float(residual.sum()),
-        complete=float(residual.sum()) == 0.0,
-    )
-    return schedule, total_time, num_steps, recovery_time, rounds, residual
-
-
 def run_redistribution(
     spec: NetworkSpec,
     traffic_mbit: np.ndarray,
@@ -317,8 +153,6 @@ def run_redistribution(
     :func:`repro.core.repair.repair_plan` (see
     :func:`repro.netsim.watch.run_redistribution_churn`, whose
     :class:`~repro.netsim.watch.ChurnOutcome` is returned instead).
-    Without ``churn`` this path is untouched and bit-identical to
-    previous behaviour.
 
     ``faults`` injects deterministic transfer failures, stalls and
     backbone degradation (GGP/OGGP only — the brute-force TCP model has
@@ -343,120 +177,58 @@ def run_redistribution(
     recovery schedule (GGP/OGGP only; see
     :data:`repro.core.wrgp.VALID_ENGINES`).
     """
+    serving = nullcontext()
     if metrics_port is not None:
         from repro.obs.server import MetricsServer
 
-        with MetricsServer(port=metrics_port):
-            return run_redistribution(
-                spec,
-                traffic_mbit,
-                method,
-                rng=rng,
-                tcp_params=tcp_params,
-                rate_jitter=rate_jitter,
-                cache=cache,
-                faults=faults,
-                retry=retry,
-                checkpoint=checkpoint,
-                engine=engine,
-                churn=churn,
-                segment_steps=segment_steps,
-            )
-    if churn is not None:
-        from repro.netsim.watch import run_redistribution_churn
-
-        if method == "bruteforce":
-            raise ConfigError(
-                "live churn needs a schedule to repair; "
-                "method 'bruteforce' does not support churn="
-            )
-        return run_redistribution_churn(
-            spec,
-            traffic_mbit,
-            method,
-            churn,
-            segment_steps=segment_steps,
-            rng=rng,
-            rate_jitter=rate_jitter,
-            cache=cache,
-            faults=faults,
-            retry=retry,
-            checkpoint=checkpoint,
-            engine=engine,
-        )
-    traffic = np.asarray(traffic_mbit, dtype=float)
-    volume = float(traffic.sum())
-    metrics = obs.metrics()
-    if method == "bruteforce":
-        if faults is not None and faults.any_faults():
-            raise ConfigError(
-                "fault injection needs a schedule to fault; "
-                "method 'bruteforce' does not support faults"
-            )
-        if checkpoint is not None:
-            raise ConfigError(
-                "checkpointing needs per-round delivery accounting; "
-                "method 'bruteforce' does not support checkpoint="
-            )
-        with obs.phase("netsim.run", method=method, volume_mbit=volume):
-            result = simulate_bruteforce(spec, traffic, rng=rng, params=tcp_params)
-        metrics.counter("netsim.bruteforce_runs").inc()
-        return RedistributionOutcome(
-            method=method,
-            total_time=result.total_time,
-            num_steps=1,
-            volume_mbit=volume,
-        )
-    if method not in ("ggp", "oggp"):
-        raise ConfigError(f"unknown method {method!r}")
-    if retry is None:
-        retry = RetryPolicy(max_attempts=8, backoff_base=0.0, jitter=0.0)
-    store: CheckpointStore | None = None
-    owned = False
-    cell_eid: dict[tuple[int, int], int] = {}
-    if checkpoint is not None:
-        if isinstance(checkpoint, CheckpointStore):
-            store = checkpoint
-        else:
-            store, owned = CheckpointStore(checkpoint), True
-        edges = _cell_edges(traffic)
-        cell_eid = {(i, j): eid for eid, (i, j, _total) in edges.items()}
-        store.begin(
-            RunMeta(
-                edges=edges,
-                k=spec.k,
-                beta=spec.step_setup,
-                method=method,
-                amount_kind="float",
-                extra={
-                    "engine": "netsim",
-                    "shape": [int(traffic.shape[0]), int(traffic.shape[1])],
-                },
-            )
-        )
-    try:
-        with obs.phase("netsim.run", method=method, volume_mbit=volume) as root:
-            schedule, total_time, num_steps, recovery_time, rounds, residual = (
-                _scheduled_redistribution(
-                    spec, traffic, method, rng, rate_jitter, cache,
-                    faults, retry, store, cell_eid, first_round=0,
-                    engine=engine,
+        serving = MetricsServer(port=metrics_port)
+    with serving:
+        if churn is not None:
+            if method == "bruteforce":
+                raise ConfigError(
+                    "live churn needs a schedule to repair; "
+                    "method 'bruteforce' does not support churn="
                 )
+            return watch.run_redistribution_churn(
+                spec, traffic_mbit, method, churn, segment_steps=segment_steps,
+                rng=rng, rate_jitter=rate_jitter, cache=cache, faults=faults,
+                retry=retry, checkpoint=checkpoint, engine=engine,
             )
-            root.set(steps=num_steps, total_time=total_time, rounds=rounds)
-    finally:
-        if owned and store is not None:
-            store.close()
-    return RedistributionOutcome(
-        method=method,
-        total_time=total_time,
-        num_steps=num_steps,
-        volume_mbit=volume,
-        schedule=schedule,
-        rounds=rounds,
-        recovery_time=recovery_time,
-        undelivered_mbit=float(residual.sum()),
-    )
+        traffic = np.asarray(traffic_mbit, dtype=float)
+        volume = float(traffic.sum())
+        if method == "bruteforce":
+            if faults is not None and faults.any_faults():
+                raise ConfigError(
+                    "fault injection needs a schedule to fault; "
+                    "method 'bruteforce' does not support faults"
+                )
+            if checkpoint is not None:
+                raise ConfigError(
+                    "checkpointing needs per-round delivery accounting; "
+                    "method 'bruteforce' does not support checkpoint="
+                )
+            with obs.phase("netsim.run", method=method, volume_mbit=volume):
+                result = simulate_bruteforce(spec, traffic, rng=rng, params=tcp_params)
+            obs.metrics().counter("netsim.bruteforce_runs").inc()
+            return RedistributionOutcome(
+                method=method,
+                total_time=result.total_time,
+                num_steps=1,
+                volume_mbit=volume,
+            )
+        if method not in ("ggp", "oggp"):
+            raise ConfigError(f"unknown method {method!r}")
+        edges = watch._cell_edges(traffic)
+        shape = (int(traffic.shape[0]), int(traffic.shape[1]))
+        backend = watch._Netsim(spec, shape, False, rng, rate_jitter, faults)
+        with _opened(checkpoint) as store:
+            run = _drive(
+                backend, store, edges, {eid: 0.0 for eid in edges},
+                extra={"engine": "netsim", "shape": list(shape)},
+                method=method, engine=engine, k=spec.k, beta=spec.step_setup,
+                cache=cache, retry=retry,
+            )
+        return _outcome(method, volume, run, backend)
 
 
 def resume_redistribution(
@@ -481,110 +253,36 @@ def resume_redistribution(
     ``total_time``/``num_steps`` cover only the resumed rounds;
     ``volume_mbit`` is the original run's full volume.
     """
-    if retry is None:
-        retry = RetryPolicy(max_attempts=8, backoff_base=0.0, jitter=0.0)
-    if isinstance(checkpoint, CheckpointStore):
-        store, owned = checkpoint, False
-    else:
-        store, owned = CheckpointStore.resume(checkpoint), True
-    try:
+    with _opened(checkpoint, resume=True) as store:
+        shape = watch._restored(store, spec, "netsim")
         state = store.state
-        meta = state.meta
-        if meta.extra.get("engine") != "netsim":
-            raise ConfigError(
-                "checkpoint was not written by run_redistribution "
-                f"(engine={meta.extra.get('engine')!r})"
-            )
-        if meta.k != spec.k or meta.beta != spec.step_setup:
-            raise ConfigError(
-                f"platform mismatch: checkpoint recorded k={meta.k}, "
-                f"beta={meta.beta}; spec has k={spec.k}, "
-                f"beta={spec.step_setup}"
-            )
-        method = meta.method if method is None else method  # type: ignore[assignment]
-        shape = meta.extra.get("shape")
-        if (
-            not isinstance(shape, list)
-            or len(shape) != 2
-            or not all(isinstance(n, int) and n > 0 for n in shape)
-        ):
-            raise GraphError(f"checkpoint metadata has no valid shape: {shape!r}")
-        volume = float(sum(total for _l, _r, total in meta.edges.values()))
-        pending = state.pending()
-        residual = np.zeros((shape[0], shape[1]), dtype=float)
-        cell_eid: dict[tuple[int, int], int] = {}
-        for eid, (left, right, remaining) in pending.items():
-            if not (0 <= left < shape[0] and 0 <= right < shape[1]):
-                raise GraphError(
-                    f"checkpoint edge {eid} endpoint ({left}, {right}) "
-                    f"outside the recorded {shape[0]}x{shape[1]} matrix"
-                )
-            residual[left, right] = remaining
-            cell_eid[(left, right)] = eid
-        if not pending:
-            if not state.complete:
-                store.mark_complete()
-            return RedistributionOutcome(
-                method=method,
-                total_time=0.0,
-                num_steps=0,
-                volume_mbit=volume,
-            )
-        with obs.phase(
-            "netsim.resume", method=method, volume_mbit=float(residual.sum())
-        ) as root:
-            schedule, total_time, num_steps, recovery_time, rounds, remaining = (
-                _scheduled_redistribution(
-                    spec, residual, method, rng, rate_jitter, cache,
-                    faults, retry, store, cell_eid,
-                    first_round=state.next_round, engine=engine,
-                )
-            )
-            root.set(steps=num_steps, total_time=total_time, rounds=rounds)
-        return RedistributionOutcome(
-            method=method,
-            total_time=total_time,
-            num_steps=num_steps,
-            volume_mbit=volume,
-            schedule=schedule,
-            rounds=rounds,
-            recovery_time=recovery_time,
-            undelivered_mbit=float(remaining.sum()),
+        backend = watch._Netsim(spec, shape, False, rng, rate_jitter, faults)
+        if method is None:
+            method = state.meta.method  # type: ignore[assignment]
+        run = _drive(
+            backend, store, dict(state.edges), dict(state.delivered),
+            method=method, engine=engine, k=spec.k, beta=spec.step_setup,
+            cache=cache, retry=retry, first_round=state.next_round,
+            resumed=True,
         )
-    finally:
-        if owned:
-            store.close()
+    volume = float(sum(total for _l, _r, total in state.meta.edges.values()))
+    return _outcome(method, volume, run, backend)
 
 
-def _residual_traffic(
-    spec: NetworkSpec,
-    schedule: Schedule,
-    result: StepwiseResult,
-    shape: tuple[int, ...],
-) -> np.ndarray:
-    """Undelivered Mbit per (source, destination) after a faulted run.
-
-    Edges that never faulted delivered everything; a faulted edge
-    delivered the chunks scheduled before its fault step.  Amounts are
-    schedule units (seconds at ``flow_rate``), converted back to Mbit.
-    Tiny float dust is clamped to zero so recovery terminates.
-    """
-    residual = np.zeros(shape, dtype=float)
-    failed = result.failed
-    if not failed:
-        return residual
-    totals: dict[int, float] = {}
-    where: dict[int, tuple[int, int]] = {}
-    for step in schedule.steps:
-        for t in step.transfers:
-            totals[t.edge_id] = totals.get(t.edge_id, 0.0) + t.amount
-            where[t.edge_id] = (t.left, t.right)
-    for eid in failed:
-        remaining = totals[eid] - result.delivered.get(eid, 0.0)
-        if remaining > 1e-12 * max(totals[eid], 1.0):
-            left, right = where[eid]
-            residual[left, right] += remaining * spec.flow_rate
-    return residual
+def _outcome(
+    method: Method, volume: float, run: _Run, backend: "watch._Netsim"
+) -> RedistributionOutcome:
+    """A rebuild run's outcome: round 0's plan, then its recovery rounds."""
+    return RedistributionOutcome(
+        method=method,
+        total_time=run.seconds(),
+        num_steps=run.steps(),
+        volume_mbit=volume,
+        schedule=run.rounds[0].schedule if run.rounds else None,
+        rounds=max(0, len(run.rounds) - 1),
+        recovery_time=run.seconds(1),
+        undelivered_mbit=float(backend.matrix(run.pending).sum()),
+    )
 
 
 def uniform_traffic(

@@ -1,4 +1,4 @@
-"""Live-churn redistribution: segmented execution with splice repair.
+"""Live-churn redistribution and the netsim backend of the round loop.
 
 The simulated counterpart of a redistribution that has to keep up with
 a *moving* traffic matrix: the plan is executed ``segment_steps`` steps
@@ -16,11 +16,12 @@ a SIGKILL'd run resumed by :func:`resume_redistribution_churn`
 replays the *same* trajectory — same plans, same churn draws, same
 per-round deliveries — and ends bit-identical to an uninterrupted run.
 
-The driving loop is deliberately round-structured: round ``r`` draws
-churn event ``r`` (within the spec's horizon), repairs if anything
-changed, executes one segment with ``fault_round=r``, and journals the
-delivered Mbit.  Every quantity a draw depends on (the live edge set,
-delivered amounts) is exactly what the journal reconstructs.
+The rounds themselves are the shared round loop's
+(:func:`repro.resilience.recovery._drive`); this module supplies its
+netsim backend, which moves Mbit through
+:func:`~repro.netsim.stepwise.simulate_schedule` and is also what
+:func:`repro.netsim.runner.run_redistribution` runs its fault-recovery
+rounds on.
 """
 
 from __future__ import annotations
@@ -32,26 +33,28 @@ from typing import Literal, Mapping
 
 import numpy as np
 
-from repro import obs
-from repro.core.cache import DEFAULT_SCHEDULE_CACHE, ScheduleCache, cached_schedule
-from repro.core.repair import (
-    TrafficDelta,
-    apply_traffic_delta,
-    repair_plan,
-    validate_repair_bounds,
-)
+from repro.core.cache import DEFAULT_SCHEDULE_CACHE, ScheduleCache
+from repro.core.repair import validate_repair_bounds
 from repro.core.schedule import Schedule
+from repro.graph.generators import _traffic_array, from_traffic_matrix
 from repro.netsim.stepwise import simulate_schedule
 from repro.netsim.topology import NetworkSpec
 from repro.resilience.churn import ChurnProcess
 from repro.resilience.faults import FaultPlan
-from repro.resilience.journal import CheckpointStore, RunMeta
+from repro.resilience.journal import CheckpointStore
 from repro.resilience.recovery import (
+    _drive,
+    _opened,
+    _Run,
+    _Segment,
     residual_graph_from_amounts,
-    verify_recovery_schedule,
 )
 from repro.resilience.retry import RetryPolicy
 from repro.util.errors import ConfigError, GraphError
+
+# perfbench/tracing.py wraps these names in this module.
+from repro.core.repair import repair_plan  # noqa: F401
+from repro.resilience.recovery import verify_recovery_schedule  # noqa: F401
 
 __all__ = [
     "ChurnOutcome",
@@ -115,37 +118,167 @@ def delivered_digest(
     return h.hexdigest()
 
 
-def _pending_seconds(
-    edges: Mapping[int, tuple[int, int, float]],
-    delivered: Mapping[int, float],
-    flow_rate: float,
-) -> dict[int, tuple[int, int, float]]:
-    """Remaining traffic per edge in schedule units (seconds)."""
-    out: dict[int, tuple[int, int, float]] = {}
-    for eid, (left, right, total) in edges.items():
-        remaining = total - delivered.get(eid, 0.0)
-        if remaining > _DUST * max(1.0, total):
-            out[eid] = (left, right, remaining / flow_rate)
-    return out
+def _cell_edges(traffic) -> dict[int, tuple[int, int, float]]:
+    """Stable edge labelling of a traffic matrix's positive cells.
+
+    Row-major, so the same matrix always yields the same edge ids — the
+    ids the checkpoint journal is keyed by, and the ids
+    :func:`~repro.graph.generators.from_traffic_matrix` gives its edges.
+    """
+    arr = _traffic_array(traffic)
+    cells = zip(*np.nonzero(arr > 0))
+    return {
+        eid: (int(i), int(j), float(arr[i, j])) for eid, (i, j) in enumerate(cells)
+    }
 
 
-def _fresh_plan(
-    pending: Mapping[int, tuple[int, int, float]],
-    k: int,
-    beta: float,
-    method: str,
-    engine: str,
-    cache: ScheduleCache | None,
-) -> Schedule:
-    """Verified from-scratch schedule of ``pending``, in original ids."""
-    from repro.core.repair import _remap_steps
+@dataclass
+class _Netsim:
+    """The round loop's netsim backend: Mbit over the simulated platform.
 
-    graph, id_map = residual_graph_from_amounts(pending)
-    schedule = cached_schedule(
-        graph, k, beta, algorithm=method, engine=engine, cache=cache
+    A splice run (live churn) schedules pending Mbit as seconds at the
+    per-flow rate and reports each segment's landed Mbit; a rebuild run
+    schedules the residual traffic *matrix* whole, as the initial
+    traffic was scheduled, and reports what each faulted edge left
+    undelivered: (scheduled − delivered) × flow rate.
+    """
+
+    name, unit, kind = "netsim", "mbit", "float"
+
+    spec: NetworkSpec
+    shape: tuple[int, int]
+    splice: bool
+    rng: object
+    rate_jitter: float
+    faults: FaultPlan | None
+
+    @property
+    def dust(self) -> float:
+        # A rebuild run drops what its checkpoint reader calls dust; a
+        # splice run snaps edges within _DUST of their totals.
+        return _DUST if self.splice else 1e-12
+
+    @property
+    def rate(self) -> float:
+        return self.spec.flow_rate
+
+    def pause(self, seconds: float) -> None:
+        """Simulated time: a retry backoff costs no wall clock."""
+
+    def churned(self, delta, round_index: int, edges: Mapping) -> None:
+        """Mbit totals live in the ledger alone."""
+
+    def matrix(self, pending: Mapping) -> np.ndarray:
+        """The pending Mbit as a traffic matrix of the run's shape."""
+        out = np.zeros(self.shape, dtype=float)
+        for left, right, remaining in pending.values():
+            out[left, right] = remaining
+        return out
+
+    def graph(self, pending: Mapping):
+        flow = self.spec.flow_rate
+        if self.splice:
+            return residual_graph_from_amounts(
+                {
+                    eid: (left, right, remaining / flow)
+                    for eid, (left, right, remaining) in pending.items()
+                }
+            )
+        # Row-major cells are ascending ledger ids.
+        graph = from_traffic_matrix(self.matrix(pending), speed=flow)
+        return graph, dict(enumerate(sorted(pending)))
+
+    def run_segment(self, schedule: Schedule, round_index: int, ids) -> _Segment:
+        flow = self.spec.flow_rate
+        result = simulate_schedule(
+            self.spec, schedule, volume_scale=flow, rng=self.rng,
+            rate_jitter=self.rate_jitter, faults=self.faults,
+            fault_round=round_index,
+        )
+        moved = left = None
+        if ids is None:
+            moved = {eid: amount * flow for eid, amount in result.delivered.items()}
+        else:
+            scheduled: dict[int, float] = {}
+            for step in schedule.steps:
+                for t in step.transfers:
+                    scheduled[t.edge_id] = scheduled.get(t.edge_id, 0.0) + t.amount
+            left = {}
+            for eid in result.failed:
+                remaining = scheduled[eid] - result.delivered.get(eid, 0.0)
+                if remaining > 1e-12 * max(scheduled[eid], 1.0):
+                    left[ids[eid]] = remaining * flow
+        return _Segment(
+            moved=moved, failed=bool(result.failed),
+            degraded=bool(result.degraded_steps), steps=result.num_steps,
+            seconds=result.total_time, report=result, left=left,
+        )
+
+
+def _restored(
+    store: CheckpointStore, spec: NetworkSpec, engine: str
+) -> tuple[int, int]:
+    """Check a reopened netsim journal against ``spec``; its matrix shape."""
+    state = store.state
+    meta = state.meta
+    if meta.extra.get("engine") != engine:
+        raise ConfigError(
+            f"checkpoint was not written by a {engine} run "
+            f"(engine={meta.extra.get('engine')!r})"
+        )
+    if meta.k != spec.k or meta.beta != spec.step_setup:
+        raise ConfigError(
+            f"platform mismatch: checkpoint recorded k={meta.k}, "
+            f"beta={meta.beta}; spec has k={spec.k}, "
+            f"beta={spec.step_setup}"
+        )
+    shape = meta.extra.get("shape")
+    if (
+        not isinstance(shape, list)
+        or len(shape) != 2
+        or not all(isinstance(n, int) and n > 0 for n in shape)
+    ):
+        raise GraphError(f"checkpoint metadata has no valid shape: {shape!r}")
+    for eid, (left, right, _total) in state.edges.items():
+        if not (0 <= left < shape[0] and 0 <= right < shape[1]):
+            raise GraphError(
+                f"checkpoint edge {eid} endpoint ({left}, {right}) "
+                f"outside the recorded {shape[0]}x{shape[1]} matrix"
+            )
+    return shape[0], shape[1]
+
+
+def _outcome(method: str, run: _Run) -> ChurnOutcome:
+    undelivered = sum(remaining for _, _, remaining in run.pending.values())
+    return ChurnOutcome(
+        method=method,
+        total_time=run.seconds(),
+        num_steps=run.steps(),
+        rounds=len(run.rounds),
+        churn_events=run.churn_events,
+        churn_ops=run.churn_ops,
+        splices=run.splices,
+        fallbacks=run.fallbacks,
+        noops=run.noops,
+        fresh_builds=run.fresh_builds,
+        repair_seconds=run.repair_seconds,
+        volume_mbit=float(sum(t for _, _, t in run.edges.values())),
+        undelivered_mbit=float(undelivered),
+        complete=undelivered == 0.0,
+        edges=dict(run.edges),
+        delivered=dict(run.delivered),
+        history=tuple(
+            {
+                "round": rd.index,
+                "mode": rd.mode,
+                "churn": rd.churn,
+                "steps": rd.segment.steps,
+                "sim_seconds": rd.segment.seconds,
+                "failed": len(rd.segment.report.failed),
+            }
+            for rd in run.rounds
+        ),
     )
-    verify_recovery_schedule(graph, schedule)
-    return Schedule(_remap_steps(schedule, id_map), k, beta)
 
 
 def run_redistribution_churn(
@@ -174,8 +307,8 @@ def run_redistribution_churn(
     budget (``max_affected_frac``) or quality bound (``max_ratio``
     times the residual lower bound) is exceeded.  Transfer faults
     compose freely: a failed segment's shortfall is healed by the same
-    repair call.  ``retry`` bounds the number of fault-recovery rounds
-    *after* the churn horizon (default 8 attempts).
+    repair call.  ``retry`` bounds the number of faulted segments the
+    run tolerates (default 8 attempts).
 
     ``checkpoint`` (a store or directory) journals churn deltas, plan
     changes and per-segment deliveries; resume with
@@ -187,59 +320,21 @@ def run_redistribution_churn(
         raise ConfigError(f"segment_steps must be >= 1, got {segment_steps}")
     validate_repair_bounds(max_ratio, max_affected_frac)
     traffic = np.asarray(traffic_mbit, dtype=float)
-    edges = {
-        eid: (i, j, total)
-        for eid, (i, j, total) in _cell_edges(traffic).items()
-    }
+    edges = _cell_edges(traffic)
     if not edges:
         raise ConfigError("traffic matrix has no positive cells")
-    store: CheckpointStore | None = None
-    owned = False
-    if checkpoint is not None:
-        if isinstance(checkpoint, CheckpointStore):
-            store = checkpoint
-        else:
-            store, owned = CheckpointStore(checkpoint), True
-        store.begin(
-            RunMeta(
-                edges=dict(edges),
-                k=spec.k,
-                beta=spec.step_setup,
-                method=method,
-                amount_kind="float",
-                extra={
-                    "engine": "netsim-churn",
-                    "shape": [int(traffic.shape[0]), int(traffic.shape[1])],
-                    "segment_steps": int(segment_steps),
-                },
-            )
+    shape = (int(traffic.shape[0]), int(traffic.shape[1]))
+    with _opened(checkpoint) as store:
+        run = _drive(
+            _Netsim(spec, shape, True, rng, rate_jitter, faults), store,
+            edges, {eid: 0.0 for eid in edges},
+            extra={"engine": "netsim-churn", "shape": list(shape),
+                   "segment_steps": int(segment_steps)},
+            method=method, engine=engine, k=spec.k, beta=spec.step_setup,
+            cache=cache, retry=retry, churn=churn, segment_steps=segment_steps,
+            max_ratio=max_ratio, max_affected_frac=max_affected_frac,
         )
-    try:
-        return _churn_loop(
-            spec=spec,
-            method=method,
-            churn=churn,
-            shape=(int(traffic.shape[0]), int(traffic.shape[1])),
-            edges=edges,
-            delivered={eid: 0.0 for eid in edges},
-            plan=None,
-            pos=0,
-            first_round=0,
-            last_churn_round=-1,
-            segment_steps=segment_steps,
-            rng=rng,
-            rate_jitter=rate_jitter,
-            cache=cache,
-            faults=faults,
-            retry=retry,
-            store=store,
-            engine=engine,
-            max_ratio=max_ratio,
-            max_affected_frac=max_affected_frac,
-        )
-    finally:
-        if owned and store is not None:
-            store.close()
+    return _outcome(method, run)
 
 
 def resume_redistribution_churn(
@@ -268,322 +363,22 @@ def resume_redistribution_churn(
     run; ``spec`` is cross-checked against the metadata.
     """
     validate_repair_bounds(max_ratio, max_affected_frac)
-    if isinstance(checkpoint, CheckpointStore):
-        store, owned = checkpoint, False
-    else:
-        store, owned = CheckpointStore.resume(checkpoint), True
-    try:
+    with _opened(checkpoint, resume=True) as store:
+        shape = _restored(store, spec, "netsim-churn")
         state = store.state
-        meta = state.meta
-        if meta.extra.get("engine") != "netsim-churn":
-            raise ConfigError(
-                "checkpoint was not written by run_redistribution_churn "
-                f"(engine={meta.extra.get('engine')!r})"
-            )
-        if meta.k != spec.k or meta.beta != spec.step_setup:
-            raise ConfigError(
-                f"platform mismatch: checkpoint recorded k={meta.k}, "
-                f"beta={meta.beta}; spec has k={spec.k}, "
-                f"beta={spec.step_setup}"
-            )
-        shape = meta.extra.get("shape")
-        if (
-            not isinstance(shape, list)
-            or len(shape) != 2
-            or not all(isinstance(n, int) and n > 0 for n in shape)
-        ):
-            raise GraphError(f"checkpoint metadata has no valid shape: {shape!r}")
-        segment_steps = int(meta.extra.get("segment_steps", 4))
-        plan = None
-        pos = 0
+        method = str(state.meta.method)
+        plan, pos = None, 0
         if state.plan is not None:
             plan = Schedule.from_dict(state.plan)
             pos = min(int(state.plan_pos), len(plan.steps))
-        return _churn_loop(
-            spec=spec,
-            method=str(meta.method),
-            churn=churn,
-            shape=(shape[0], shape[1]),
-            edges={eid: tuple(lrt) for eid, lrt in state.edges.items()},
-            delivered=dict(state.delivered),
-            plan=plan,
-            pos=pos,
-            first_round=state.next_round,
-            last_churn_round=state.last_churn_round,
-            segment_steps=segment_steps,
-            rng=rng,
-            rate_jitter=rate_jitter,
-            cache=cache,
-            faults=faults,
-            retry=retry,
-            store=store,
-            engine=engine,
-            max_ratio=max_ratio,
-            max_affected_frac=max_affected_frac,
-            resumed=True,
+        run = _drive(
+            _Netsim(spec, shape, True, rng, rate_jitter, faults), store,
+            {eid: tuple(lrt) for eid, lrt in state.edges.items()},
+            dict(state.delivered), method=method, engine=engine,
+            k=spec.k, beta=spec.step_setup, cache=cache, retry=retry,
+            churn=churn, segment_steps=int(state.meta.extra.get("segment_steps", 4)),
+            max_ratio=max_ratio, max_affected_frac=max_affected_frac,
+            plan=plan, pos=pos, first_round=state.next_round,
+            last_churn_round=state.last_churn_round, resumed=True,
         )
-    finally:
-        if owned:
-            store.close()
-
-
-def _churn_loop(
-    *,
-    spec: NetworkSpec,
-    method: str,
-    churn: ChurnProcess,
-    shape: tuple[int, int],
-    edges: dict[int, tuple[int, int, float]],
-    delivered: dict[int, float],
-    plan: Schedule | None,
-    pos: int,
-    first_round: int,
-    last_churn_round: int,
-    segment_steps: int,
-    rng,
-    rate_jitter: float,
-    cache: ScheduleCache | None,
-    faults: FaultPlan | None,
-    retry: RetryPolicy | None,
-    store: CheckpointStore | None,
-    engine: str,
-    max_ratio: float,
-    max_affected_frac: float,
-    resumed: bool = False,
-) -> ChurnOutcome:
-    """The round loop shared by fresh and resumed live-churn runs."""
-    if retry is None:
-        retry = RetryPolicy(max_attempts=8, backoff_base=0.0, jitter=0.0)
-    flow = spec.flow_rate
-    k, beta = spec.k, spec.step_setup
-    metrics = obs.metrics()
-    horizon = churn.spec.events
-    obs.emit(
-        "run.start",
-        engine="netsim-churn",
-        method=method,
-        k=k,
-        beta=beta,
-        volume_mbit=float(sum(t for _, _, t in edges.values())),
-        churn_events=horizon,
-        resumed=resumed,
-        checkpointed=store is not None,
-    )
-
-    total_time = 0.0
-    num_steps = 0
-    rounds = 0
-    churn_events = 0
-    churn_ops = 0
-    splices = fallbacks = noops = fresh_builds = 0
-    repair_seconds = 0.0
-    history: list[dict] = []
-    r = first_round
-    attempts = 1
-    needs_repair = resumed
-    segment_failed = False
-
-    while True:
-        pending_mbit = {
-            eid: total - delivered.get(eid, 0.0)
-            for eid, (_, _, total) in edges.items()
-            if total - delivered.get(eid, 0.0) > _DUST * max(1.0, total)
-        }
-        if not pending_mbit and r >= horizon:
-            break
-        if pending_mbit and not retry.allows_retry(attempts):
-            break
-
-        # -- churn event for this round (skip ones already journalled) --
-        delta = TrafficDelta()
-        if r < horizon and r > last_churn_round:
-            delta = churn.delta_for_event(r, edges, delivered, shape=shape)
-            if delta:
-                if store is not None:
-                    store.record_churn(delta, r)
-                edges = apply_traffic_delta(edges, delivered, delta)
-                for eid, _, _, _ in delta.inject:
-                    delivered.setdefault(eid, 0.0)
-                for eid in list(delivered):
-                    if eid not in edges:
-                        del delivered[eid]
-                last_churn_round = r
-                churn_events += 1
-                churn_ops += delta.size
-                metrics.counter("churn.events").inc()
-                metrics.counter("churn.ops").inc(delta.size)
-                obs.emit(
-                    "churn.delta",
-                    round=r,
-                    inject=len(delta.inject),
-                    remove=len(delta.remove),
-                    resize=len(delta.resize),
-                )
-
-        # -- repair / (re)build the plan when anything changed ----------
-        mode = "steady"
-        pending = _pending_seconds(edges, delivered, flow)
-        if plan is None:
-            if pending:
-                with obs.phase("churn.fresh_plan"):
-                    plan = _fresh_plan(pending, k, beta, method, engine, cache)
-                pos = 0
-                fresh_builds += 1
-                mode = "fresh"
-                if store is not None:
-                    store.record_plan(
-                        plan.to_dict(), pos=0, round_index=r,
-                        segment=segment_steps,
-                    )
-        elif needs_repair or delta or segment_failed or (
-            pos >= len(plan.steps) and pending
-        ):
-            delivered_s = {eid: amt / flow for eid, amt in delivered.items()}
-            edges_s = {
-                eid: (i, j, total / flow)
-                for eid, (i, j, total) in edges.items()
-            }
-            result = repair_plan(
-                plan, pos, delivered_s, edges_s,
-                algorithm=method, engine=engine, cache=cache,
-                max_ratio=max_ratio, max_affected_frac=max_affected_frac,
-            )
-            mode = result.mode
-            repair_seconds += result.repair_seconds
-            plan, pos = result.remainder, 0
-            if mode == "splice":
-                splices += 1
-            elif mode == "fallback":
-                fallbacks += 1
-            else:
-                noops += 1
-            if mode != "noop" and store is not None:
-                store.record_plan(
-                    plan.to_dict(), pos=0, round_index=r,
-                    segment=segment_steps,
-                )
-        needs_repair = False
-        segment_failed = False
-
-        if plan is None or pos >= len(plan.steps):
-            # Nothing executable: churn may still arrive in a later
-            # round, so only the loop-head condition can end the run.
-            if not pending and r >= horizon:
-                break
-            if not pending:
-                r += 1
-                continue
-            # Pending but no plan steps left should be impossible after
-            # a repair; guard against a silent stall anyway.
-            raise GraphError(
-                "live-churn loop stalled with pending traffic and an "
-                "exhausted plan"
-            )
-
-        # -- execute one segment ---------------------------------------
-        seg = Schedule(plan.steps[pos : pos + segment_steps], k, beta)
-        result = simulate_schedule(
-            spec,
-            seg,
-            volume_scale=flow,
-            rng=rng,
-            rate_jitter=rate_jitter,
-            faults=faults,
-            fault_round=r,
-        )
-        deltas: dict[int, float] = {}
-        for eid, amount_s in result.delivered.items():
-            moved = amount_s * flow
-            if moved > 0:
-                before = delivered.get(eid, 0.0)
-                delivered[eid] = before + moved
-                # Snap completed edges to their exact totals so every
-                # trajectory that finishes an edge agrees bit-for-bit.
-                total = edges[eid][2]
-                if (
-                    delivered[eid] != total
-                    and total - delivered[eid] <= _DUST * max(1.0, total)
-                ):
-                    delivered[eid] = total
-                # Journal the *snapped* increment: the checkpoint state
-                # must equal the in-memory state exactly, or a resumed
-                # run's digest drifts by float dust.
-                deltas[eid] = delivered[eid] - before
-        if store is not None:
-            store.record_round(deltas, r)
-        if result.failed:
-            segment_failed = True
-            attempts += 1
-        total_time += result.total_time
-        num_steps += result.num_steps
-        pos += len(seg.steps)
-        rounds += 1
-        history.append(
-            {
-                "round": r,
-                "mode": mode,
-                "churn": delta.size,
-                "steps": result.num_steps,
-                "sim_seconds": result.total_time,
-                "failed": len(result.failed),
-            }
-        )
-        obs.emit(
-            "round.result",
-            round=r,
-            mode=mode,
-            steps=result.num_steps,
-            sim_seconds=result.total_time,
-            failed=len(result.failed),
-            undelivered_mbit=float(
-                sum(
-                    total - delivered.get(eid, 0.0)
-                    for eid, (_, _, total) in edges.items()
-                )
-            ),
-        )
-        r += 1
-
-    undelivered = sum(
-        max(0.0, total - delivered.get(eid, 0.0))
-        for eid, (_, _, total) in edges.items()
-        if total - delivered.get(eid, 0.0) > _DUST * max(1.0, total)
-    )
-    complete = undelivered == 0.0
-    if store is not None and complete and not store.state.complete:
-        store.mark_complete()
-    obs.emit(
-        "run.complete",
-        engine="netsim-churn",
-        rounds=rounds,
-        splices=splices,
-        fallbacks=fallbacks,
-        sim_seconds=total_time,
-        undelivered_mbit=undelivered,
-        complete=complete,
-    )
-    return ChurnOutcome(
-        method=method,
-        total_time=total_time,
-        num_steps=num_steps,
-        rounds=rounds,
-        churn_events=churn_events,
-        churn_ops=churn_ops,
-        splices=splices,
-        fallbacks=fallbacks,
-        noops=noops,
-        fresh_builds=fresh_builds,
-        repair_seconds=repair_seconds,
-        volume_mbit=float(sum(t for _, _, t in edges.values())),
-        undelivered_mbit=float(undelivered),
-        complete=complete,
-        edges=dict(edges),
-        delivered=dict(delivered),
-        history=tuple(history),
-    )
-
-
-def _cell_edges(traffic: np.ndarray) -> dict[int, tuple[int, int, float]]:
-    from repro.netsim.runner import _cell_edges as impl
-
-    return impl(traffic)
+    return _outcome(method, run)

@@ -223,16 +223,3 @@ class MetricsServer:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = self.url if self.running else "stopped"
         return f"MetricsServer({state})"
-
-
-def maybe_metrics_server(port: int | None) -> "MetricsServer | None":
-    """A started server when ``port`` is given, else ``None``.
-
-    The helper behind the ``metrics_port=`` keyword on the long-running
-    entry points (``schedule_batch``, ``run_redistribution``,
-    ``schedule_and_run_resilient``): they serve telemetry for the
-    duration of the call and stop the server on the way out.
-    """
-    if port is None:
-        return None
-    return MetricsServer(port=port).start()

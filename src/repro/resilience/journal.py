@@ -1,10 +1,9 @@
 """Durable checkpointing: crash-safe journal + snapshots for long runs.
 
-The recovery loops in :mod:`repro.runtime.executor` and
-:mod:`repro.netsim.runner` survive in-process faults, but only as long
-as the process does — a SIGKILL or power loss throws away every
-delivered byte.  This module makes the per-edge delivered amounts
-*durable*:
+The round loop (:func:`repro.resilience.recovery._drive`) survives
+in-process faults, but only as long as the process does — a SIGKILL or
+power loss throws away every delivered byte.  This module makes the
+per-edge delivered amounts *durable*:
 
 - an **append-only journal** (``journal.kpbj``) of CRC-32-framed
   records, one delta record per completed round, written with a
@@ -294,6 +293,22 @@ class CheckpointState:
         return out
 
 
+def _delta_payload(
+    state: CheckpointState,
+    seq: int,
+    round_index: int,
+    amounts: Mapping[int, int | float],
+) -> bytes:
+    """A delta record's payload: the positive ``amounts`` in edge order."""
+    float_amounts = state.meta.amount_kind == "float"
+    pair = _PAIR_FLOAT if float_amounts else _PAIR_INT
+    pairs = sorted((eid, amount) for eid, amount in amounts.items() if amount > 0)
+    payload = bytearray(_DELTA_HEADER.pack(seq, round_index, len(pairs)))
+    for eid, amount in pairs:
+        payload += pair.pack(eid, float(amount) if float_amounts else int(amount))
+    return bytes(payload)
+
+
 def _apply_delta(
     state: CheckpointState,
     payload: bytes,
@@ -391,26 +406,29 @@ def _apply_plan(
     state.seq = max(state.seq, seq)
 
 
-def _state_from_records(
+def _fold(
+    state: CheckpointState | None,
     records: list[tuple[int, bytes]],
-    meta: RunMeta | None,
     *,
     what: str,
     from_snapshot: bool = False,
 ) -> CheckpointState:
-    state: CheckpointState | None = None
-    if meta is not None:
-        state = CheckpointState(
-            meta=meta, delivered={eid: 0 for eid in meta.edges}
-        )
+    """Fold ``records`` into ``state``, or into a fresh state from their metadata.
+
+    A journal compacted into a snapshot restates the metadata once; the
+    snapshot's copy is authoritative, so that record is skipped.
+    """
+    meta_seen = False
     for rtype, payload in records:
         if rtype == _R_META:
-            if state is not None:
+            if meta_seen:
                 raise GraphError(f"duplicate metadata record in {what}")
-            meta = RunMeta.from_payload(payload)
-            state = CheckpointState(
-                meta=meta, delivered={eid: 0 for eid in meta.edges}
-            )
+            meta_seen = True
+            if state is None:
+                meta = RunMeta.from_payload(payload)
+                state = CheckpointState(
+                    meta=meta, delivered={eid: 0 for eid in meta.edges}
+                )
         elif state is None:
             raise GraphError(f"{what} has records before any metadata")
         elif rtype == _R_DELTA:
@@ -669,23 +687,15 @@ class CheckpointStore:
         ``snapshot_every`` rounds.
         """
         state = self.state
-        pairs = sorted(
-            (eid, amount) for eid, amount in deltas.items() if amount > 0
-        )
-        float_amounts = state.meta.amount_kind == "float"
-        pair = _PAIR_FLOAT if float_amounts else _PAIR_INT
-        seq = state.seq + 1
-        payload = bytearray(_DELTA_HEADER.pack(seq, round_index, len(pairs)))
-        for eid, amount in pairs:
-            payload += pair.pack(
-                eid, float(amount) if float_amounts else int(amount)
-            )
-        self._append(_R_DELTA, bytes(payload))
+        payload = _delta_payload(state, state.seq + 1, round_index, deltas)
+        self._append(_R_DELTA, payload)
         if self.fsync == "round":
             _fsync_file(self._journal)
         # Mirror the write into the in-memory state (validated the same
         # way a reader would fold it, so writer and resumer agree).
-        _apply_delta(state, bytes(payload), float_amounts=float_amounts)
+        _apply_delta(
+            state, payload, float_amounts=state.meta.amount_kind == "float"
+        )
         self._rounds_since_snapshot += 1
         if self.snapshot_every and self._rounds_since_snapshot >= self.snapshot_every:
             self.snapshot()
@@ -704,24 +714,16 @@ class CheckpointStore:
         state = self.state
         if not delta:
             return
-        new_edges = apply_traffic_delta(state.edges, state.delivered, delta)
-        if not new_edges:
+        if not apply_traffic_delta(state.edges, state.delivered, delta):
             raise ConfigError(
                 "churn delta would leave the checkpointed run with no edges"
             )
-        seq = state.seq + 1
-        doc = {"seq": seq, "round": int(round_index), **delta.to_doc()}
-        self._append(_R_CHURN, json.dumps(doc, sort_keys=True).encode("utf-8"))
+        doc = {"seq": state.seq + 1, "round": int(round_index), **delta.to_doc()}
+        payload = json.dumps(doc, sort_keys=True).encode("utf-8")
+        self._append(_R_CHURN, payload)
         if self.fsync == "round":
             _fsync_file(self._journal)
-        state.edges = new_edges
-        for eid, _, _, _ in delta.inject:
-            state.delivered.setdefault(eid, 0)
-        for eid in list(state.delivered):
-            if eid not in state.edges:
-                del state.delivered[eid]
-        state.seq = seq
-        state.last_churn_round = max(state.last_churn_round, int(round_index))
+        _apply_churn(state, payload)
 
     def record_plan(
         self,
@@ -774,21 +776,10 @@ class CheckpointStore:
         """
         state = self.state
         meta_now = self._current_meta()
-        float_amounts = state.meta.amount_kind == "float"
-        pair = _PAIR_FLOAT if float_amounts else _PAIR_INT
-        pairs = sorted(
-            (eid, amount) for eid, amount in state.delivered.items() if amount > 0
+        payload = _delta_payload(
+            state, state.seq, max(0, state.next_round - 1), state.delivered
         )
-        payload = bytearray(
-            _DELTA_HEADER.pack(state.seq, max(0, state.next_round - 1), len(pairs))
-        )
-        for eid, amount in pairs:
-            payload += pair.pack(
-                eid, float(amount) if float_amounts else int(amount)
-            )
-        blob = _frame(_R_META, meta_now.to_payload()) + _frame(
-            _R_DELTA, bytes(payload)
-        )
+        blob = _frame(_R_META, meta_now.to_payload()) + _frame(_R_DELTA, payload)
         if state.last_churn_round >= 0:
             # Empty marker delta: carries the last churned round across
             # the compaction (the edge map itself is folded into META).
@@ -858,36 +849,11 @@ def _load_state(directory: Path) -> tuple[CheckpointState, int | None]:
     state: CheckpointState | None = None
     if snapshot_path.exists():
         records, _ = _read_records(snapshot_path.read_bytes(), strict=True)
-        state = _state_from_records(
-            records, None, what="snapshot", from_snapshot=True
-        )
+        state = _fold(None, records, what="snapshot", from_snapshot=True)
     valid_len: int | None = None
     if journal_path.exists():
-        data = journal_path.read_bytes()
-        records, valid_len = _read_records(data, strict=False)
-        if state is None:
-            state = _state_from_records(records, None, what="journal")
-        else:
-            # The journal restates the metadata after compaction; skip
-            # it (the snapshot's copy is authoritative) and fold deltas.
-            meta_seen = False
-            for rtype, payload in records:
-                if rtype == _R_META:
-                    if meta_seen:
-                        raise GraphError("duplicate metadata record in journal")
-                    meta_seen = True
-                elif rtype == _R_DELTA:
-                    _apply_delta(
-                        state,
-                        payload,
-                        float_amounts=state.meta.amount_kind == "float",
-                    )
-                elif rtype == _R_CHURN:
-                    _apply_churn(state, payload)
-                elif rtype == _R_PLAN:
-                    _apply_plan(state, payload)
-                elif rtype == _R_COMPLETE:
-                    state.complete = True
+        records, valid_len = _read_records(journal_path.read_bytes(), strict=False)
+        state = _fold(state, records, what="journal")
     assert state is not None
     return state, valid_len
 

@@ -1,4 +1,4 @@
-"""Live-churn execution over the in-process runtime.
+"""Live-churn execution and the runtime backend of the round loop.
 
 The byte-moving counterpart of :mod:`repro.netsim.watch`: the plan is
 executed ``segment_steps`` steps at a time over a
@@ -15,32 +15,35 @@ deterministically from the churn seed and the event's coordinates, so
 two runs with the same spec move byte-identical traffic.  Schedule
 amounts are byte counts (``amount_to_bytes=1``), which keeps chunk
 boundaries exact across splices.
+
+The rounds themselves are the shared round loop's
+(:func:`repro.resilience.recovery._drive`); this module supplies its
+runtime backend, which also runs
+:func:`~repro.runtime.executor.schedule_and_run_resilient`'s
+fault-recovery rounds.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro import obs
-from repro.core.cache import DEFAULT_SCHEDULE_CACHE, ScheduleCache, cached_schedule
-from repro.core.repair import (
-    apply_traffic_delta,
-    repair_plan,
-    validate_repair_bounds,
-)
+from repro.core.cache import DEFAULT_SCHEDULE_CACHE, ScheduleCache
+from repro.core.repair import validate_repair_bounds
 from repro.core.schedule import Schedule
 from repro.resilience.churn import _CAT_CHURN, ChurnProcess
-from repro.resilience.faults import FaultPlan
-from repro.resilience.recovery import (
-    residual_graph_from_amounts,
-    verify_recovery_schedule,
-)
+from repro.resilience.faults import FaultPlan, count_fault
+from repro.resilience.recovery import _drive, _Segment, residual_graph_from_amounts
 from repro.resilience.retry import RetryPolicy
 from repro.runtime.executor import RuntimeFailure, RuntimeReport, run_scheduled
 from repro.runtime.local import LocalCluster
 from repro.util.errors import ConfigError, SimulationError
 from repro.util.rng import derive_rng
+
+# perfbench/tracing.py wraps these names in this module.
+from repro.core.repair import repair_plan  # noqa: F401
+from repro.resilience.recovery import verify_recovery_schedule  # noqa: F401
 
 __all__ = ["ChurnRunReport", "run_resilient_churn"]
 
@@ -88,6 +91,115 @@ def _synth_bytes(seed: int, event: int, eid: int, n: int) -> bytes:
     return derive_rng(seed, _CAT_CHURN, event, eid).bytes(n)
 
 
+@dataclass
+class _Runtime:
+    """The round loop's runtime backend: byte prefixes over a cluster.
+
+    ``delivered`` holds the landed prefix of every payload.  A plan in
+    ledger ids (a splice run's segment) moves the next bytes of each
+    edge it carries; a plan in residual ids (a rebuild round) moves
+    each edge's whole undelivered suffix.  Only the first plan may
+    weigh edges in other units than bytes (``amount_to_bytes``).
+    """
+
+    name, unit, kind, dust, rate = "runtime", "bytes", "int", 0, 1
+
+    cluster: LocalCluster
+    payloads: dict[int, bytes]
+    destinations: dict[int, tuple[int, int]]
+    delivered: dict[int, bytes]
+    faults: FaultPlan | None
+    amount_to_bytes: float = 1.0
+    seed: int = 0
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.cluster.n1, self.cluster.n2
+
+    def ledger(self) -> tuple[dict, dict]:
+        """The round loop's ledger: payload sizes and landed prefix lengths."""
+        edges = {
+            eid: (*self.destinations[eid], len(payload))
+            for eid, payload in self.payloads.items()
+        }
+        return edges, {eid: len(self.delivered[eid]) for eid in edges}
+
+    def pause(self, seconds: float) -> None:
+        if seconds > 0:
+            time.sleep(seconds)
+
+    def graph(self, pending: Mapping):
+        return residual_graph_from_amounts(pending)
+
+    def churned(self, delta, round_index: int, edges: Mapping) -> None:
+        """Synthesize, truncate or drop payload bytes the way ``delta`` says."""
+        payloads, seed = self.payloads, self.seed
+        for eid, left, right, amount in delta.inject:
+            self.destinations[eid] = (left, right)
+            payloads[eid] = _synth_bytes(seed, round_index, eid, int(amount))
+            self.delivered[eid] = b""
+        for eid in delta.remove:
+            if eid not in edges:  # nothing delivered: drop it
+                del payloads[eid], self.delivered[eid], self.destinations[eid]
+            else:  # keep the landed prefix as the new total
+                payloads[eid] = payloads[eid][: edges[eid][2]]
+        for eid, _new_total in delta.resize:
+            if eid not in edges:
+                continue
+            total = edges[eid][2]
+            if total <= len(payloads[eid]):
+                payloads[eid] = payloads[eid][:total]
+            else:
+                payloads[eid] = payloads[eid] + _synth_bytes(
+                    seed, round_index, eid, total - len(payloads[eid])
+                )
+
+    def run_segment(self, schedule: Schedule, round_index: int, ids) -> _Segment:
+        if ids is None:
+            ids = {}
+            sizes: dict[int, int] = {}
+            for step in schedule.steps:
+                for t in step.transfers:
+                    ids[t.edge_id] = t.edge_id
+                    sizes[t.edge_id] = sizes.get(t.edge_id, 0) + round(t.amount)
+            payloads = {
+                eid: self.payloads[eid][
+                    len(self.delivered[eid]) : len(self.delivered[eid]) + n
+                ]
+                for eid, n in sizes.items()
+            }
+        else:
+            payloads = {
+                new: self.payloads[orig][len(self.delivered[orig]) :]
+                for new, orig in ids.items()
+            }
+        report = run_scheduled(
+            self.cluster, schedule, payloads,
+            {new: self.destinations[orig] for new, orig in ids.items()},
+            amount_to_bytes=self.amount_to_bytes, faults=self.faults,
+            fault_round=round_index,
+        )
+        self.amount_to_bytes = 1.0  # later plans schedule byte counts
+        moved = {}
+        for new, chunk in report.delivered.items():
+            self.delivered[ids[new]] += chunk
+            moved[ids[new]] = len(chunk)
+        # The runtime's backbone does not slow down, but a degraded
+        # step still lowers the k the next rebuild may use.
+        degraded = 0
+        if self.faults is not None:
+            degraded = sum(
+                self.faults.link_factor(round_index, step) < 1.0
+                for step in range(len(schedule.steps))
+            )
+            count_fault("link_degradation", degraded)
+        return _Segment(
+            moved=moved, failed=bool(report.errors), degraded=degraded > 0,
+            steps=report.num_steps, seconds=report.total_seconds,
+            report=report,
+        )
+
+
 def run_resilient_churn(
     cluster: LocalCluster,
     payloads: dict[int, bytes],
@@ -118,249 +230,60 @@ def run_resilient_churn(
     the (resumable) :mod:`repro.netsim.watch` loop; this executor is
     for moving real bytes under churn in one process.
     """
-    if retry is None:
-        retry = RetryPolicy(max_attempts=8, backoff_base=0.0, jitter=0.0)
     if segment_steps < 1:
         raise ConfigError(f"segment_steps must be >= 1, got {segment_steps}")
     validate_repair_bounds(max_ratio, max_affected_frac)
     if set(payloads) != set(destinations):
         raise ConfigError("payloads and destinations must cover the same edges")
-    payloads = dict(payloads)
-    destinations = dict(destinations)
-    delivered: dict[int, bytes] = {eid: b"" for eid in payloads}
-    edges = {
-        eid: (*destinations[eid], len(payloads[eid])) for eid in payloads
-    }
-    if not edges:
+    if not payloads:
         raise ConfigError("nothing to move: empty payload set")
-    shape = (cluster.n1, cluster.n2)
-    seed = churn.spec.seed
-    horizon = churn.spec.events
-    metrics = obs.metrics()
-    obs.emit(
-        "run.start",
-        engine="runtime-churn",
-        method=method,
-        k=k,
-        beta=beta,
-        edges=len(payloads),
-        bytes=sum(len(p) for p in payloads.values()),
-        churn_events=horizon,
+    backend = _Runtime(
+        cluster, dict(payloads), dict(destinations),
+        {eid: b"" for eid in payloads}, faults=faults, seed=churn.spec.seed,
     )
-
-    plan: Schedule | None = None
-    pos = 0
-    rounds = 0
-    churn_events = churn_ops = 0
-    splices = fallbacks = noops = fresh_builds = 0
-    total_seconds = 0.0
-    bytes_moved = 0
-    reports: list[RuntimeReport] = []
-    r = 0
-    attempts = 1
-    segment_failed = False
-    last_churn_round = -1
-
-    def _delivered_len() -> dict[int, int]:
-        return {eid: len(data) for eid, data in delivered.items()}
-
-    def _pending() -> dict[int, tuple[int, int, int]]:
-        return {
-            eid: (*destinations[eid], len(payloads[eid]) - len(delivered[eid]))
-            for eid in payloads
-            if len(delivered[eid]) < len(payloads[eid])
-        }
-
-    with obs.phase("runtime.run_resilient_churn"):
-        while True:
-            pending = _pending()
-            if not pending and r >= horizon:
-                break
-            if pending and not retry.allows_retry(attempts):
-                break
-
-            # -- churn event for this round -------------------------
-            delta_size = 0
-            delta = None
-            if r < horizon and r > last_churn_round:
-                delta = churn.delta_for_event(
-                    r, edges, _delivered_len(), shape=shape,
-                    integer_amounts=True,
-                )
-                last_churn_round = r
-            if delta:
-                edges = apply_traffic_delta(edges, _delivered_len(), delta)
-                for eid, left, right, amount in delta.inject:
-                    destinations[eid] = (left, right)
-                    payloads[eid] = _synth_bytes(seed, r, eid, int(amount))
-                    delivered[eid] = b""
-                for eid in delta.remove:
-                    if eid not in edges:  # nothing delivered: drop it
-                        del payloads[eid], delivered[eid], destinations[eid]
-                    else:  # keep the landed prefix as the new total
-                        payloads[eid] = payloads[eid][: edges[eid][2]]
-                for eid, _new_total in delta.resize:
-                    if eid not in edges:
-                        continue
-                    total = edges[eid][2]
-                    if total <= len(payloads[eid]):
-                        payloads[eid] = payloads[eid][:total]
-                    else:
-                        payloads[eid] = payloads[eid] + _synth_bytes(
-                            seed, r, eid, total - len(payloads[eid])
-                        )
-                delta_size = delta.size
-                churn_events += 1
-                churn_ops += delta_size
-                metrics.counter("churn.events").inc()
-                metrics.counter("churn.ops").inc(delta_size)
-                obs.emit(
-                    "churn.delta",
-                    round=r,
-                    inject=len(delta.inject),
-                    remove=len(delta.remove),
-                    resize=len(delta.resize),
-                )
-
-            # -- repair / (re)build ---------------------------------
-            mode = "steady"
-            pending = _pending()
-            if plan is None:
-                if pending:
-                    from repro.core.repair import _remap_steps
-
-                    graph, id_map = residual_graph_from_amounts(pending)
-                    schedule = cached_schedule(
-                        graph, k, beta, algorithm=method, engine=engine,
-                        cache=cache,
-                    )
-                    verify_recovery_schedule(graph, schedule)
-                    plan = Schedule(_remap_steps(schedule, id_map), k, beta)
-                    pos = 0
-                    fresh_builds += 1
-                    mode = "fresh"
-            elif delta or segment_failed or (pos >= len(plan.steps) and pending):
-                edge_totals = {
-                    eid: (lrt[0], lrt[1], float(lrt[2]))
-                    for eid, lrt in edges.items()
-                }
-                result = repair_plan(
-                    plan, pos,
-                    {eid: float(n) for eid, n in _delivered_len().items()},
-                    edge_totals,
-                    algorithm=method, engine=engine, cache=cache,
-                    max_ratio=max_ratio,
-                    max_affected_frac=max_affected_frac,
-                )
-                mode = result.mode
-                plan, pos = result.remainder, 0
-                if mode == "splice":
-                    splices += 1
-                elif mode == "fallback":
-                    fallbacks += 1
-                else:
-                    noops += 1
-            segment_failed = False
-
-            if plan is None or pos >= len(plan.steps):
-                if not pending and r >= horizon:
-                    break
-                if not pending:
-                    r += 1
-                    continue
-                raise SimulationError(
-                    "live-churn runtime stalled with pending traffic and "
-                    "an exhausted plan"
-                )
-
-            # -- execute one segment --------------------------------
-            seg = Schedule(plan.steps[pos : pos + segment_steps], k, beta)
-            seg_totals: dict[int, int] = {}
-            for step in seg.steps:
-                for t in step.transfers:
-                    seg_totals[t.edge_id] = (
-                        seg_totals.get(t.edge_id, 0) + round(t.amount)
-                    )
-            seg_payloads = {
-                eid: payloads[eid][
-                    len(delivered[eid]) : len(delivered[eid]) + n
-                ]
-                for eid, n in seg_totals.items()
-            }
-            report = run_scheduled(
-                cluster,
-                seg,
-                seg_payloads,
-                destinations,
-                amount_to_bytes=1.0,
-                faults=faults,
-                fault_round=r,
-            )
-            for eid, chunk in report.delivered.items():
-                delivered[eid] += chunk
-                bytes_moved += len(chunk)
-            total_seconds += report.total_seconds
-            reports.append(report)
-            if report.errors:
-                segment_failed = True
-                attempts += 1
-            pos += len(seg.steps)
-            rounds += 1
-            obs.emit(
-                "round.result",
-                round=r,
-                mode=mode,
-                churn=delta_size,
-                steps=len(seg.steps),
-                bytes_moved=report.bytes_moved,
-                failures=len(report.errors),
-            )
-            r += 1
-
+    run = _drive(
+        backend, None, *backend.ledger(), method=method, engine=engine, k=k,
+        beta=beta, cache=cache, retry=retry, churn=churn,
+        segment_steps=segment_steps, max_ratio=max_ratio,
+        max_affected_frac=max_affected_frac,
+    )
+    payloads, delivered = backend.payloads, backend.delivered
     errors: list[RuntimeFailure] = []
     for eid in sorted(payloads):
-        if delivered[eid] != payloads[eid]:
-            if payloads[eid].startswith(delivered[eid]):
-                errors.append(
-                    RuntimeFailure(
-                        "undelivered",
-                        f"{len(payloads[eid]) - len(delivered[eid])} of "
-                        f"{len(payloads[eid])} bytes missing",
-                        edge_id=eid,
-                    )
+        if delivered[eid] == payloads[eid]:
+            continue
+        if payloads[eid].startswith(delivered[eid]):
+            errors.append(
+                RuntimeFailure(
+                    "undelivered",
+                    f"{len(payloads[eid]) - len(delivered[eid])} of "
+                    f"{len(payloads[eid])} bytes missing",
+                    edge_id=eid,
                 )
-            else:
-                errors.append(
-                    RuntimeFailure(
-                        "integrity",
-                        "delivered bytes are not a prefix of the payload",
-                        edge_id=eid,
-                    )
+            )
+        else:
+            errors.append(
+                RuntimeFailure(
+                    "integrity",
+                    "delivered bytes are not a prefix of the payload",
+                    edge_id=eid,
                 )
-    complete = not errors
-    obs.emit(
-        "run.complete",
-        engine="runtime-churn",
-        rounds=rounds,
-        splices=splices,
-        fallbacks=fallbacks,
-        bytes_moved=bytes_moved,
-        complete=complete,
-    )
+            )
+    reports = tuple(rd.segment.report for rd in run.rounds)
     return ChurnRunReport(
-        rounds=rounds,
-        total_seconds=total_seconds,
-        bytes_moved=bytes_moved,
-        churn_events=churn_events,
-        churn_ops=churn_ops,
-        splices=splices,
-        fallbacks=fallbacks,
-        noops=noops,
-        fresh_builds=fresh_builds,
-        complete=complete,
+        rounds=len(run.rounds),
+        total_seconds=run.seconds(),
+        bytes_moved=sum(report.bytes_moved for report in reports),
+        churn_events=run.churn_events,
+        churn_ops=run.churn_ops,
+        splices=run.splices,
+        fallbacks=run.fallbacks,
+        noops=run.noops,
+        fresh_builds=run.fresh_builds,
+        complete=not errors,
         payloads=dict(payloads),
-        destinations=dict(destinations),
+        destinations=dict(backend.destinations),
         delivered=dict(delivered),
-        reports=tuple(reports),
+        reports=reports,
         errors=tuple(errors),
     )

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -401,201 +402,6 @@ class ResilientRunReport:
             )
 
 
-def _pending_bytes(
-    payloads: dict[int, bytes],
-    destinations: dict[int, tuple[int, int]],
-    delivered: dict[int, bytes],
-) -> dict[int, tuple[int, int, int]]:
-    """Undelivered suffix sizes, keyed for residual-graph building."""
-    return {
-        eid: (*destinations[eid], len(payloads[eid]) - len(data))
-        for eid, data in delivered.items()
-        if len(data) < len(payloads[eid])
-    }
-
-
-def _recovery_rounds(
-    cluster: LocalCluster,
-    payloads: dict[int, bytes],
-    destinations: dict[int, tuple[int, int]],
-    delivered: dict[int, bytes],
-    *,
-    k: int,
-    beta: float,
-    method: str,
-    engine: str = "fast",
-    cache: ScheduleCache | None,
-    faults: "FaultPlan | None",
-    retry: "RetryPolicy",
-    checkpoint: "CheckpointStore | None",
-    prev_schedule: Schedule,
-    prev_round: int,
-) -> tuple[list[RuntimeReport], list[Schedule]]:
-    """Reschedule and run residual graphs until delivered or retries out.
-
-    Mutates ``delivered`` in place.  ``prev_schedule``/``prev_round``
-    identify the round that just ran (for backbone-degradation
-    detection and fault-round continuity).  Each recovery schedule is
-    verified before execution; each completed round is journaled to
-    ``checkpoint`` when one is given.
-    """
-    from repro.resilience.faults import count_fault
-    from repro.resilience.recovery import (
-        recovery_k,
-        residual_graph_from_amounts,
-        verify_recovery_schedule,
-    )
-
-    def round_degraded(steps: int, fault_round: int) -> bool:
-        if faults is None or steps == 0:
-            return False
-        hits = sum(
-            1 for s in range(steps) if faults.link_factor(fault_round, s) < 1.0
-        )
-        count_fault("link_degradation", hits)
-        return hits > 0
-
-    reports: list[RuntimeReport] = []
-    recovery_schedules: list[Schedule] = []
-    metrics = obs.metrics()
-    attempt = 1
-    recovery_started = time.perf_counter()
-    while (
-        _pending_bytes(payloads, destinations, delivered)
-        and retry.allows_retry(attempt)
-    ):
-        degraded = round_degraded(len(prev_schedule.steps), prev_round)
-        pause = retry.delay(attempt)
-        if pause > 0:
-            time.sleep(pause)
-        attempt += 1
-        round_index = prev_round + 1
-        pending = _pending_bytes(payloads, destinations, delivered)
-        residual, id_map = residual_graph_from_amounts(pending)
-        rk = recovery_k(k, faults, degraded)
-        obs.emit(
-            "recovery.start",
-            round=round_index,
-            pending_edges=len(pending),
-            pending_bytes=sum(rem for _s, _d, rem in pending.values()),
-            k=rk,
-            degraded=degraded,
-        )
-        recovery_schedule = cached_schedule(
-            residual, k=rk, beta=beta, algorithm=method, engine=engine, cache=cache
-        )
-        verify_recovery_schedule(residual, recovery_schedule)
-        recovery_payloads = {
-            new_eid: payloads[orig][len(delivered[orig]) :]
-            for new_eid, orig in id_map.items()
-        }
-        recovery_destinations = {
-            new_eid: destinations[orig] for new_eid, orig in id_map.items()
-        }
-        # Residual weights are byte counts, so the conversion
-        # factor is exactly 1 regardless of the caller's original
-        # amount_to_bytes.
-        report = run_scheduled(
-            cluster,
-            recovery_schedule,
-            recovery_payloads,
-            recovery_destinations,
-            amount_to_bytes=1.0,
-            faults=faults,
-            fault_round=round_index,
-        )
-        deltas: dict[int, int] = {}
-        for new_eid, orig in id_map.items():
-            chunk = report.delivered.get(new_eid, b"")
-            delivered[orig] += chunk
-            deltas[orig] = len(chunk)
-        if checkpoint is not None:
-            checkpoint.record_round(deltas, round_index)
-        obs.emit(
-            "recovery.result",
-            round=round_index,
-            steps=len(recovery_schedule.steps),
-            bytes_moved=report.bytes_moved,
-            failures=len(report.errors),
-            remaining_edges=len(
-                _pending_bytes(payloads, destinations, delivered)
-            ),
-        )
-        reports.append(report)
-        recovery_schedules.append(recovery_schedule)
-        metrics.counter("resilience.recovery_rounds").inc()
-        metrics.counter("resilience.recovery_steps").inc(
-            len(recovery_schedule.steps)
-        )
-        metrics.counter("resilience.retries").inc()
-        metrics.counter("resilience.retries.runtime").inc()
-        prev_schedule, prev_round = recovery_schedule, round_index
-    if recovery_schedules:
-        metrics.counter("resilience.recovery_overhead_seconds").inc(
-            time.perf_counter() - recovery_started
-        )
-    return reports, recovery_schedules
-
-
-def _resilient_report(
-    schedule: Schedule,
-    recovery_schedules: list[Schedule],
-    reports: list[RuntimeReport],
-    payloads: dict[int, bytes],
-    destinations: dict[int, tuple[int, int]],
-    delivered: dict[int, bytes],
-    checkpoint: "CheckpointStore | None",
-) -> ResilientRunReport:
-    errors = tuple(
-        RuntimeFailure(
-            "undelivered",
-            f"{remaining} of {len(payloads[eid])} bytes still missing "
-            f"after {len(recovery_schedules)} recovery round(s)",
-            edge_id=eid,
-        )
-        for eid, (_src, _dst, remaining) in sorted(
-            _pending_bytes(payloads, destinations, delivered).items()
-        )
-    )
-    complete = all(delivered[eid] == payloads[eid] for eid in payloads)
-    if complete and checkpoint is not None:
-        checkpoint.mark_complete()
-    obs.emit(
-        "run.complete",
-        rounds=len(recovery_schedules),
-        bytes_moved=sum(len(d) for d in delivered.values()),
-        complete=complete,
-        unresolved=len(errors),
-    )
-    return ResilientRunReport(
-        schedule=schedule,
-        recovery_schedules=tuple(recovery_schedules),
-        reports=tuple(reports),
-        rounds=len(recovery_schedules),
-        total_seconds=sum(r.total_seconds for r in reports),
-        bytes_moved=sum(len(d) for d in delivered.values()),
-        complete=complete,
-        delivered=delivered,
-        errors=errors,
-    )
-
-
-def _as_checkpoint_store(
-    checkpoint: "CheckpointStore | str | os.PathLike | None",
-    resuming: bool,
-) -> tuple["CheckpointStore | None", bool]:
-    """Normalise a checkpoint argument; returns (store, we_own_it)."""
-    if checkpoint is None:
-        return None, False
-    from repro.resilience.journal import CheckpointStore
-
-    if isinstance(checkpoint, CheckpointStore):
-        return checkpoint, False
-    if resuming:
-        return CheckpointStore.resume(checkpoint), True
-    return CheckpointStore(checkpoint), True
-
-
 def schedule_and_run_resilient(
     cluster: LocalCluster,
     graph: BipartiteGraph,
@@ -660,137 +466,42 @@ def schedule_and_run_resilient(
     inexact ``"approx"`` engine a resumed run is only bit-identical to
     an uninterrupted one when both used the same engine.
     """
-    from repro.resilience.journal import RunMeta
-    from repro.resilience.retry import RetryPolicy
+    from repro.resilience.recovery import _drive, _opened
+    from repro.runtime.churn import _Runtime, run_resilient_churn
 
+    serving = nullcontext()
     if metrics_port is not None:
         from repro.obs.server import MetricsServer
 
-        with MetricsServer(port=metrics_port):
-            return schedule_and_run_resilient(
-                cluster,
-                graph,
-                k,
-                beta,
-                payloads,
-                destinations,
-                method=method,
-                engine=engine,
-                amount_to_bytes=amount_to_bytes,
-                cache=cache,
-                faults=faults,
-                retry=retry,
-                checkpoint=checkpoint,
-                churn=churn,
-                segment_steps=segment_steps,
-            )
-    if churn is not None:
-        from repro.runtime.churn import run_resilient_churn
-
-        if checkpoint is not None:
-            raise ConfigError(
-                "churned runtime runs are not checkpointable; use "
-                "kpbs watch (repro.netsim.watch) for a resumable churn run"
-            )
-        if amount_to_bytes != 1.0:
-            raise ConfigError(
-                "the churn executor schedules byte counts directly; "
-                f"amount_to_bytes must be 1, got {amount_to_bytes}"
-            )
-        return run_resilient_churn(
-            cluster,
-            payloads,
-            destinations,
-            churn,
-            k=k,
-            beta=beta,
-            method=method,
-            engine=engine,
-            segment_steps=segment_steps,
-            cache=cache,
-            faults=faults,
-            retry=retry,
-        )
-    if retry is None:
-        retry = RetryPolicy(max_attempts=8, backoff_base=0.0, jitter=0.0)
-    store, owned = _as_checkpoint_store(checkpoint, resuming=False)
-    try:
-        if store is not None:
-            store.begin(
-                RunMeta(
-                    edges={
-                        eid: (*destinations[eid], len(payloads[eid]))
-                        for eid in payloads
-                    },
-                    k=k,
-                    beta=beta,
-                    method=method,
-                    amount_kind="int",
-                    extra={"engine": "runtime"},
+        serving = MetricsServer(port=metrics_port)
+    with serving:
+        if churn is not None:
+            if checkpoint is not None:
+                raise ConfigError(
+                    "churned runtime runs are not checkpointable; use "
+                    "kpbs watch (repro.netsim.watch) for a resumable churn run"
                 )
-            )
-        obs.emit(
-            "run.start",
-            method=method,
-            k=k,
-            beta=beta,
-            edges=len(payloads),
-            bytes=sum(len(p) for p in payloads.values()),
-            checkpointed=store is not None,
-        )
-        schedule = cached_schedule(
-            graph, k=k, beta=beta, algorithm=method, engine=engine, cache=cache
-        )
-        with obs.phase("runtime.schedule_and_run_resilient"):
-            first = run_scheduled(
-                cluster,
-                schedule,
-                payloads,
-                destinations,
-                amount_to_bytes=amount_to_bytes,
-                faults=faults,
-                fault_round=0,
-            )
-            delivered = {eid: first.delivered.get(eid, b"") for eid in payloads}
-            if store is not None:
-                store.record_round(
-                    {eid: len(data) for eid, data in delivered.items()}, 0
+            if amount_to_bytes != 1.0:
+                raise ConfigError(
+                    "the churn executor schedules byte counts directly; "
+                    f"amount_to_bytes must be 1, got {amount_to_bytes}"
                 )
-            obs.emit(
-                "round.result",
-                round=0,
-                steps=len(schedule.steps),
-                bytes_moved=first.bytes_moved,
-                failures=len(first.errors),
+            return run_resilient_churn(
+                cluster, payloads, destinations, churn, k=k, beta=beta,
+                method=method, engine=engine, segment_steps=segment_steps,
+                cache=cache, faults=faults, retry=retry,
             )
-            reports, recovery_schedules = _recovery_rounds(
-                cluster,
-                payloads,
-                destinations,
-                delivered,
-                k=k,
-                beta=beta,
-                method=method,
-                engine=engine,
-                cache=cache,
-                faults=faults,
-                retry=retry,
-                checkpoint=store,
-                prev_schedule=schedule,
-                prev_round=0,
-            )
-        return _resilient_report(
-            schedule,
-            recovery_schedules,
-            [first, *reports],
-            payloads,
-            destinations,
-            delivered,
-            store,
+        backend = _Runtime(
+            cluster, payloads, destinations, {eid: b"" for eid in payloads},
+            faults=faults, amount_to_bytes=amount_to_bytes,
         )
-    finally:
-        if owned and store is not None:
-            store.close()
+        with _opened(checkpoint) as store:
+            run = _drive(
+                backend, store, *backend.ledger(), extra={"engine": "runtime"},
+                graph=graph, method=method, engine=engine, k=k, beta=beta,
+                cache=cache, retry=retry,
+            )
+        return _report(run, backend, k, beta)
 
 
 def resume_and_run_resilient(
@@ -821,21 +532,12 @@ def resume_and_run_resilient(
     bit-identical resumption matters (it always does for the exact
     engines, which all produce the same schedules).
     """
-    from repro.resilience.recovery import (
-        residual_graph_from_amounts,
-        verify_recovery_schedule,
-    )
-    from repro.resilience.retry import RetryPolicy
+    from repro.resilience.recovery import _drive, _opened
+    from repro.runtime.churn import _Runtime
 
-    if retry is None:
-        retry = RetryPolicy(max_attempts=8, backoff_base=0.0, jitter=0.0)
-    store, owned = _as_checkpoint_store(checkpoint, resuming=True)
-    assert store is not None
-    try:
+    with _opened(checkpoint, resume=True) as store:
         state = store.state
         meta = state.meta
-        k, beta = meta.k, meta.beta
-        method = meta.method if method is None else method
         if destinations is None:
             destinations = {
                 eid: (left, right)
@@ -856,72 +558,41 @@ def resume_and_run_resilient(
             eid: payloads[eid][: int(state.delivered.get(eid, 0))]
             for eid in payloads
         }
-        if not _pending_bytes(payloads, destinations, delivered):
-            # Everything had landed before the crash; nothing to run.
-            return _resilient_report(
-                Schedule([], k=k, beta=beta),
-                [],
-                [],
-                payloads,
-                destinations,
-                delivered,
-                store,
-            )
-        with obs.phase("runtime.resume_and_run_resilient"):
-            round_index = state.next_round
-            pending = _pending_bytes(payloads, destinations, delivered)
-            residual, id_map = residual_graph_from_amounts(pending)
-            schedule = cached_schedule(
-                residual, k=k, beta=beta, algorithm=method, engine=engine,
-                cache=cache,
-            )
-            verify_recovery_schedule(residual, schedule)
-            first = run_scheduled(
-                cluster,
-                schedule,
-                {
-                    new_eid: payloads[orig][len(delivered[orig]) :]
-                    for new_eid, orig in id_map.items()
-                },
-                {new_eid: destinations[orig] for new_eid, orig in id_map.items()},
-                amount_to_bytes=1.0,
-                faults=faults,
-                fault_round=round_index,
-            )
-            deltas: dict[int, int] = {}
-            for new_eid, orig in id_map.items():
-                chunk = first.delivered.get(new_eid, b"")
-                delivered[orig] += chunk
-                deltas[orig] = len(chunk)
-            store.record_round(deltas, round_index)
-            reports, recovery_schedules = _recovery_rounds(
-                cluster,
-                payloads,
-                destinations,
-                delivered,
-                k=k,
-                beta=beta,
-                method=method,
-                engine=engine,
-                cache=cache,
-                faults=faults,
-                retry=retry,
-                checkpoint=store,
-                prev_schedule=schedule,
-                prev_round=round_index,
-            )
-        return _resilient_report(
-            schedule,
-            recovery_schedules,
-            [first, *reports],
-            payloads,
-            destinations,
-            delivered,
-            store,
+        backend = _Runtime(cluster, payloads, destinations, delivered, faults=faults)
+        run = _drive(
+            backend, store, *backend.ledger(),
+            method=meta.method if method is None else method, engine=engine,
+            k=meta.k, beta=meta.beta, cache=cache, retry=retry,
+            first_round=state.next_round, resumed=True,
         )
-    finally:
-        if owned:
-            store.close()
+    return _report(run, backend, meta.k, meta.beta)
+
+
+def _report(run, backend, k: int, beta: float) -> ResilientRunReport:
+    """A rebuild run's report: its first plan, then its recovery rounds."""
+    payloads, delivered = backend.payloads, backend.delivered
+    plans = [rd.schedule for rd in run.rounds]
+    reports = [rd.segment.report for rd in run.rounds]
+    recovery = plans[1:]
+    return ResilientRunReport(
+        schedule=plans[0] if plans else Schedule([], k=k, beta=beta),
+        recovery_schedules=tuple(recovery),
+        reports=tuple(reports),
+        rounds=len(recovery),
+        total_seconds=sum(r.total_seconds for r in reports),
+        bytes_moved=sum(len(d) for d in delivered.values()),
+        complete=all(delivered[eid] == payloads[eid] for eid in payloads),
+        delivered=delivered,
+        errors=tuple(
+            RuntimeFailure(
+                "undelivered",
+                f"{remaining} of {len(payloads[eid])} bytes still missing "
+                f"after {len(recovery)} recovery round(s)",
+                edge_id=eid,
+            )
+            for eid, (_src, _dst, remaining) in sorted(run.pending.items())
+        ),
+    )
 
 
 def schedule_and_run_batch(

@@ -10,7 +10,7 @@ from repro.netsim.runner import (
 )
 from repro.netsim.tcp import TcpParams
 from repro.netsim.topology import NetworkSpec
-from repro.util.errors import ConfigError
+from repro.util.errors import ConfigError, GraphError
 
 FAST = TcpParams(dt=0.005)
 
@@ -198,3 +198,36 @@ class TestCheckpointedRedistribution:
             ))
         with pytest.raises(ConfigError, match="engine"):
             resume_redistribution(self.spec, tmp_path)
+
+
+BAD_TRAFFIC = {
+    "negative": [[5.0, -1.0], [2.0, 3.0]],
+    "nan": [[5.0, float("nan")], [2.0, 3.0]],
+    "inf": [[5.0, float("inf")], [2.0, 3.0]],
+    "1-D": [5.0, 1.0, 2.0],
+}
+
+
+class TestTrafficValidation:
+    """Every path checks the matrix before it opens a journal."""
+
+    spec = NetworkSpec(n1=2, n2=2, nic_rate1=10.0, nic_rate2=10.0,
+                       backbone_rate=10.0)
+
+    @pytest.mark.parametrize("path", ["plain", "churn", "checkpoint"])
+    @pytest.mark.parametrize("bad", sorted(BAD_TRAFFIC))
+    def test_rejected_before_any_journal(self, tmp_path, bad, path):
+        from repro.resilience import ChurnSpec
+
+        ckdir = tmp_path / "ck"
+        kwargs = {}
+        if path == "churn":
+            churn = ChurnSpec(seed=1, inject_rate=1, events=2).process()
+            kwargs = {"churn": churn, "checkpoint": ckdir}
+        elif path == "checkpoint":
+            kwargs = {"checkpoint": ckdir}
+        with pytest.raises(GraphError):
+            run_redistribution(
+                self.spec, np.array(BAD_TRAFFIC[bad]), "oggp", **kwargs
+            )
+        assert not (ckdir / "journal.kpbj").exists()

@@ -187,3 +187,52 @@ class TestVerifyRecoverySchedule:
         schedule = oggp(graph_a, k=2, beta=1.0)
         with pytest.raises(ConfigError, match="failed verification"):
             verify_recovery_schedule(graph_b, schedule)
+
+
+class _HalfCache:
+    """A schedule cache whose every answer ships half of each edge."""
+
+    def get(self, graph, k, beta, tag):
+        from repro.core.schedule import Schedule, Step, Transfer
+
+        return Schedule(
+            [
+                Step([Transfer(e.id, e.left, e.right, e.weight / 2)])
+                for e in graph.edges()
+            ],
+            k=k,
+            beta=beta,
+        )
+
+    def put(self, *args):
+        pass
+
+
+class TestFirstPlanVerified:
+    """The first round of a faults-only run is verified like the rest."""
+
+    def test_netsim(self):
+        import numpy as np
+
+        from repro.netsim import NetworkSpec, run_redistribution
+
+        spec = NetworkSpec(n1=2, n2=2, nic_rate1=10.0, nic_rate2=10.0,
+                           backbone_rate=20.0)
+        with pytest.raises(ConfigError, match="failed verification"):
+            run_redistribution(
+                spec, np.array([[4.0, 1.0], [2.0, 3.0]]), "oggp",
+                cache=_HalfCache(),
+            )
+
+    def test_runtime(self):
+        from repro.runtime import LocalCluster, schedule_and_run_resilient
+        from repro.runtime.seeded import transfer_case
+
+        graph, payloads, destinations = transfer_case(1, 2, 2, 64)
+        cluster = LocalCluster(2, 2, nic_rate1=1e9, nic_rate2=1e9,
+                               backbone_rate=1e9)
+        with pytest.raises(ConfigError, match="failed verification"):
+            schedule_and_run_resilient(
+                cluster, graph, 2, 1.0, payloads, destinations,
+                cache=_HalfCache(),
+            )

@@ -760,9 +760,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=("ggp", "oggp"), default="oggp")
     p.add_argument(
         "--engine", choices=sorted(VALID_ENGINES), default="fast",
-        help="peeling engine; 'vector' is bit-identical to 'fast' but "
-        "faster on large matrices, 'approx' trades schedule quality "
-        "for speed on the largest ones",
+        help="peeling engine; 'vector' names the same code as 'fast', "
+        "'approx' trades schedule quality for speed on the largest "
+        "matrices",
     )
     p.add_argument("--output", help="write schedule JSON here")
     p.add_argument("--gantt", action="store_true", help="print a Gantt chart")

@@ -206,10 +206,9 @@ def cached_schedule(
     :func:`~repro.core.oggp.oggp`, :func:`~repro.core.wrgp.wrgp` or
     :func:`~repro.core.baselines.greedy_schedule` (which ignores
     ``engine``); ``engine`` is forwarded to the peeling loop and
-    participates in the cache key (the ``'resume'`` engine may
-    legitimately produce a different — still valid — schedule than
-    ``'fast'``/``'reference'``).  Pass ``cache=None`` to bypass caching
-    entirely.
+    participates in the cache key (the ``'approx'`` engine may
+    legitimately produce a different — still valid — schedule than the
+    exact engines).  Pass ``cache=None`` to bypass caching entirely.
     """
     # Imported here: ggp/oggp/wrgp live above this module in the package
     # graph, and importing them lazily keeps cache importable from both.

@@ -28,6 +28,7 @@ from repro.core.schedule import Schedule, Step, Transfer
 from repro.core.wrgp import (  # noqa: F401 - peel_weight_regular re-exported
     MatchingStrategy,
     PeelEngine,
+    _check_engine,
     peel_rounds,
     peel_weight_regular,
 )
@@ -62,11 +63,11 @@ def ggp(
     engine:
         Peeling engine (see :func:`repro.core.wrgp.peel_weight_regular`
         and :func:`repro.core.wrgp.peel_rounds`):
-        ``'fast'`` (warm-started, default), ``'vector'`` (numpy core,
-        bit-identical to ``'fast'``), ``'resume'`` (matching persisted
-        across peels), ``'approx'`` (Etzold sparsification — fastest,
+        ``'fast'`` (warm-started, default; ``'vector'`` names the same
+        code), ``'approx'`` (Etzold sparsification — fastest,
         near-optimal matchings, still a valid 2-approximation), or
-        ``'reference'`` (stateless oracle).
+        ``'reference'`` (stateless oracle).  An unknown name raises
+        :class:`ConfigError` listing the valid ones.
 
     >>> from repro.graph import paper_figure2_graph
     >>> s = ggp(paper_figure2_graph(), k=3, beta=1.0)
@@ -76,6 +77,7 @@ def ggp(
         raise ConfigError(f"k must be >= 1, got {k}")
     if beta < 0:
         raise ConfigError(f"beta must be >= 0, got {beta}")
+    _check_engine(engine)
     if graph.is_empty():
         return Schedule([], k=k, beta=beta)
 

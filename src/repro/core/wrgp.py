@@ -20,13 +20,11 @@ Implementation notes
   (paper Figure 6) — this is the only difference between GGP and OGGP.
 - The matchings are computed by warm-started peeler engines
   (:mod:`repro.matching.peeler`) that persist sorted indices, node
-  maps, and matrix state across peels.  ``engine='fast'`` (default)
-  produces matchings identical to the stateless routines;
-  ``engine='resume'`` additionally carries the bottleneck matching
-  itself across peels (fastest, but may pick different — equally
-  optimal — matchings, so schedules can differ in step count by a
-  little); ``engine='reference'`` is the retained stateless path used
-  as the equivalence oracle in tests.
+  maps, and matrix state across peels.  ``engine='fast'`` (default;
+  ``'vector'`` names the same code) produces matchings identical to the
+  stateless routines; ``engine='approx'`` trades that identity for
+  speed on the largest graphs; ``engine='reference'`` is the retained
+  stateless path used as the equivalence oracle in tests.
 - The ``'arbitrary'`` strategy recomputes its perfect matching
   *incrementally* in every engine: the previous matching minus its
   exhausted edges is a near-perfect matching of the peeled graph, so
@@ -45,12 +43,9 @@ from repro.matching.bottleneck import bottleneck_matching
 from repro.matching.hopcroft_karp import hopcroft_karp
 from repro.matching.hungarian import hungarian_perfect_matching
 from repro.matching.peeler import BottleneckPeeler, HungarianPeeler
-from repro.matching.vector import (
-    ApproxBottleneckPeeler,
-    ApproxPeelCore,
-    VectorBottleneckPeeler,
-    hopcroft_karp_vec,
-)
+from repro.matching.vector import ApproxBottleneckPeeler, ApproxPeelCore
+# Not called here: the benchmark tracer patches this name in this module.
+from repro.matching.vector import hopcroft_karp_vec  # noqa: F401
 from repro.util.errors import ConfigError, GraphError, MatchingError
 
 #: 'arbitrary' — any perfect matching (Hopcroft–Karp, warm-started);
@@ -59,27 +54,27 @@ from repro.util.errors import ConfigError, GraphError, MatchingError
 #: matching (Figure 6; this is what makes OGGP).
 MatchingStrategy = Literal["arbitrary", "max_weight", "bottleneck"]
 
-#: 'fast' — warm-started engines, schedules identical to 'reference';
-#: 'vector' — the numpy int-array core (:mod:`repro.matching.vector`),
-#: still bit-identical to 'fast'/'reference' but with frontier-at-a-time
-#: BFS and exact probe skipping (the fastest *exact* engine at scale);
-#: 'resume' — persists the bottleneck matching across peels (schedules
-#: remain valid but may differ slightly);
-#: 'approx' — Etzold candidate sparsification on top of resume-style
-#: persistence: near-bottleneck matchings, bounded quality loss (the
-#: schedule stays a valid 2-approximation), for the largest graphs;
+#: 'fast' — warm-started engines, schedules identical to 'reference'
+#: (the bottleneck peel runs the int-array threshold sweep with exact
+#: probe skipping, :class:`~repro.matching.vector.BottleneckPeeler`);
+#: 'vector' — the same code as 'fast', a name kept so stored configs
+#: and clients that use it keep working;
+#: 'approx' — Etzold candidate sparsification with the matching
+#: persisted across peels: near-bottleneck matchings, bounded quality
+#: loss (the schedule stays a valid 2-approximation), for the largest
+#: graphs;
 #: 'reference' — the stateless per-peel calls, kept as the test oracle.
-#: Strategies without a specialised vector/approx path ('max_weight',
-#: and 'arbitrary' under 'approx') fall back to their 'fast' engines.
-PeelEngine = Literal["fast", "vector", "resume", "approx", "reference"]
+#: Strategies without a specialised approx path ('max_weight', and
+#: 'arbitrary') run their 'fast' engines under 'approx'.
+PeelEngine = Literal["fast", "vector", "approx", "reference"]
 
 #: The engine names :func:`peel_weight_regular` accepts, in preference
 #: order.  Kept as a runtime tuple so callers (the batch engine, CLIs)
 #: can validate engine arguments without hard-coding the list.
-VALID_ENGINES: tuple[str, ...] = ("fast", "vector", "resume", "approx", "reference")
+VALID_ENGINES: tuple[str, ...] = ("fast", "vector", "approx", "reference")
 
 #: Engines whose schedules are bit-identical to the stateless reference
-#: path ('resume' and 'approx' trade that for speed).
+#: path ('approx' trades that for speed).
 EXACT_ENGINES: tuple[str, ...] = ("fast", "vector", "reference")
 
 
@@ -126,20 +121,17 @@ def _peel_weight_regular(
     previous: Matching | None = None
     _check_square(graph)
     size = graph.num_left
-    bottleneck_peeler: BottleneckPeeler | ApproxBottleneckPeeler | VectorBottleneckPeeler | None = None
+    bottleneck_peeler: BottleneckPeeler | ApproxBottleneckPeeler | None = None
     hungarian_peeler: HungarianPeeler | None = None
     if engine != "reference" and not graph.is_empty():
         if matching == "bottleneck":
-            if engine == "vector":
-                bottleneck_peeler = VectorBottleneckPeeler(graph)
-            elif engine == "approx":
+            if engine == "approx":
                 bottleneck_peeler = ApproxBottleneckPeeler(graph)
             else:
-                mode = "resume" if engine == "resume" else "replay"
-                bottleneck_peeler = BottleneckPeeler(graph, mode=mode)
+                bottleneck_peeler = BottleneckPeeler(graph)
         elif matching == "max_weight":
             # The Hungarian peeler's hot loop is already a dense numpy
-            # solve; 'vector'/'approx' share it.
+            # solve; 'approx' shares it.
             hungarian_peeler = HungarianPeeler(graph)
     metrics = obs.metrics()
     peel_counter = metrics.counter("wrgp.peels")
@@ -156,14 +148,9 @@ def _peel_weight_regular(
             m = bottleneck_matching(graph, require="perfect")
         elif matching == "max_weight":
             m = hungarian_perfect_matching(graph)
-        elif engine == "vector":
-            m = hopcroft_karp_vec(graph, initial=previous)
-            if len(m) != size:
-                raise MatchingError(
-                    "no perfect matching found — input graph was not "
-                    "weight-regular (peeling would preserve regularity)"
-                )
         else:
+            # The warm dict Hopcroft–Karp under every engine: with a
+            # few augmentations per peel, the array form is slower here.
             m = hopcroft_karp(graph, initial=previous)
             if len(m) != size:
                 raise MatchingError(

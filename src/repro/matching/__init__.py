@@ -11,13 +11,17 @@
 - :class:`BottleneckPeeler` / :class:`HungarianPeeler` — warm-started
   engines that keep sorted indices, node maps and matrix state alive
   across the WRGP/GGP/OGGP peeling loops (the Hungarian one also owns
-  its weights and yields ``(edge ids, peel)`` rounds).
-- :func:`hopcroft_karp_vec` / :class:`VectorBottleneckPeeler` — the
-  int-array numpy core (``engine='vector'``): bit-identical results,
-  frontier-at-a-time BFS and exact probe skipping.
+  its weights and yields ``(edge ids, peel)`` rounds).  The bottleneck
+  one is the only exact OGGP peeler (``engine='fast'``, alias
+  ``'vector'``): the int-array threshold sweep with a frontier-at-a-time
+  BFS and exact probe skipping, bit-identical to the stateless path.
+- :func:`hopcroft_karp_vec` — the int-array Hopcroft–Karp,
+  bit-identical to :func:`hopcroft_karp`.
 - :class:`ApproxBottleneckPeeler` / :class:`ApproxPeelCore` — the
   Etzold-sparsified approximate engine (``engine='approx'``) for the
   largest graphs.
+- :class:`VectorBottleneckPeeler` — the former ``'vector'`` class name,
+  now a subclass of :class:`BottleneckPeeler` that no engine builds.
 """
 
 from repro.matching.base import Matching

@@ -21,8 +21,8 @@ scratch on every call.  The peeling loops use
 :class:`repro.matching.peeler.BottleneckPeeler` instead, which keeps
 that state warm across peels while producing identical matchings; this
 function is retained as the general-purpose entry point (it also
-handles ``require='maximum'``) and as the equivalence oracle for the
-engine tests.
+handles ``require='maximum'``) and as the per-peel matching of the
+``'reference'`` engine, the equivalence oracle of the engine tests.
 """
 
 from __future__ import annotations
@@ -37,13 +37,10 @@ from repro.util.errors import MatchingError
 
 Requirement = Literal["maximum", "perfect"]
 
-MatchEngine = Literal["python", "vector"]
-
 
 def bottleneck_matching(
     graph: BipartiteGraph,
     require: Requirement = "maximum",
-    engine: MatchEngine = "python",
 ) -> Matching:
     """Matching of target cardinality whose minimum weight is maximum.
 
@@ -51,10 +48,6 @@ def bottleneck_matching(
     whole graph (the paper's "maximal matching" in Fig 6);
     ``require='perfect'`` demands every node be covered and raises
     :class:`MatchingError` when no perfect matching exists.
-
-    ``engine='vector'`` runs the same threshold sweep on the int-array
-    core (:mod:`repro.matching.vector`) — identical matching, faster on
-    large graphs thanks to the numpy BFS and exact probe skipping.
 
     Returns an empty matching for an empty graph (cardinality 0 is
     trivially both maximum and perfect).
@@ -65,20 +58,6 @@ def bottleneck_matching(
         if require == "perfect" and (graph.num_left or graph.num_right):
             raise MatchingError("graph with nodes but no edges has no perfect matching")
         return Matching()
-
-    if engine == "vector":
-        from repro.matching.vector import _vector_bottleneck_sweep, hopcroft_karp_vec
-
-        if require == "perfect":
-            if graph.num_left != graph.num_right:
-                raise MatchingError(
-                    f"perfect matching impossible: {graph.num_left} left vs "
-                    f"{graph.num_right} right nodes"
-                )
-            target = graph.num_left
-        else:
-            target = len(hopcroft_karp_vec(graph))
-        return _vector_bottleneck_sweep(graph, target)
 
     if require == "perfect":
         if graph.num_left != graph.num_right:

@@ -1,4 +1,4 @@
-"""Vectorized and approximate matching engines over flat int arrays.
+"""Exact and approximate matching engines over flat int arrays.
 
 Three engines live here, all built on one shared core
 (:class:`_ArrayMatcher` — an int-array Hopcroft–Karp whose layered BFS
@@ -10,26 +10,26 @@ large enough to amortise the array overhead):
   *identical* matching (same adjacency order, same BFS layering, same
   pointer-DFS augmentation order) with no per-edge ``Edge`` objects in
   the hot loop.
-- :class:`VectorBottleneckPeeler` — the ``engine='vector'`` replay
-  peeler: bit-identical matchings (and therefore schedules) to
-  ``engine='fast'``/``'reference'``, with several speedups layered on
-  top: the numpy BFS, *exact probe skipping* (below), depth-1 flips
-  for all-exposed weight classes, and a limit early-exit that skips
-  the terminating failed BFS once a probe's batch is provably
-  exhausted (both argued inline in :func:`_vector_sweep` /
+- :class:`BottleneckPeeler` — the exact bottleneck peeler behind
+  ``engine='fast'`` and its alias ``'vector'``: bit-identical matchings
+  (and therefore schedules) to ``engine='reference'``, with several
+  speedups layered on top: the numpy BFS, *exact probe skipping*
+  (below), depth-1 flips for all-exposed weight classes, and a limit
+  early-exit that skips the terminating failed BFS once a probe's batch
+  is provably exhausted (both argued inline in :func:`_vector_sweep` /
   :meth:`_ArrayMatcher.augment_to_max`).
 - :class:`ApproxPeelCore` / :class:`ApproxBottleneckPeeler` — the
   ``engine='approx'`` peeler: Etzold's dense-graph sparsification
   (arXiv cs/0306123 — keep only each node's heaviest few incident
   edges as matching candidates, growing the candidate set on demand)
-  combined with resume-mode matching persistence.  Schedules remain
-  *valid* 2-approximations (every peeled matching is perfect, so any
-  run is a legal GGP run), but are no longer bit-identical to the
+  combined with a matching that persists across peels.  Schedules
+  remain *valid* 2-approximations (every peeled matching is perfect, so
+  any run is a legal GGP run), but are no longer bit-identical to the
   exact engines; the measured quality delta is reported by the bench.
 
-Why the vector engine can skip threshold probes *exactly*
----------------------------------------------------------
-The replay sweep admits descending weight classes and re-runs
+Why the sweep can skip threshold probes *exactly*
+-------------------------------------------------
+The threshold sweep admits descending weight classes and re-runs
 Hopcroft–Karp after each admission.  Most probes are unproductive: the
 new class does not create any augmenting path.  A class can only be
 productive if, starting from a new edge ``(u, r)`` with ``u`` already
@@ -54,6 +54,7 @@ interchangeable without affecting which matching is produced.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, insort
 from typing import Collection
 
 import numpy as np
@@ -65,6 +66,7 @@ from repro.util.errors import MatchingError
 
 __all__ = [
     "hopcroft_karp_vec",
+    "BottleneckPeeler",
     "VectorBottleneckPeeler",
     "ApproxPeelCore",
     "ApproxBottleneckPeeler",
@@ -99,8 +101,8 @@ class _ArrayMatcher:
 
     Left/right nodes are dense indices; edges are referenced by graph
     edge id through ``el``/``er`` (edge id -> dense endpoint index).
-    The admitted edge set grows via :meth:`admit` (and, for the resume
-    style engines, shrinks via :meth:`evict`); :meth:`augment_to_max`
+    The admitted edge set grows via :meth:`admit` (and, for the approx
+    engine, shrinks via :meth:`evict`); :meth:`augment_to_max`
     runs faithful Hopcroft–Karp phases over it.
 
     The authoritative state is plain Python lists (fast scalar access
@@ -115,7 +117,6 @@ class _ArrayMatcher:
         "nr",
         "el",
         "er",
-        "el_np",
         "adj",
         "adjr",
         "match_l",
@@ -153,7 +154,6 @@ class _ArrayMatcher:
         self.nr = n_right
         self.el = el
         self.er = er
-        self.el_np = np.array(el, dtype=np.int64) if el else np.zeros(0, np.int64)
         self.adj: list[list[int]] = [[] for _ in range(n_left)]
         # Right-endpoint mirror of ``adj`` (same positions): the BFS/DFS
         # hot loops read rights without the eid -> er indirection.
@@ -262,7 +262,7 @@ class _ArrayMatcher:
             self.synced = total
 
     def reset_matching(self) -> None:
-        """Empty the matching and the admitted set (replay-mode peel reset)."""
+        """Empty the matching and the admitted set (the exact peel reset)."""
         ml = self.match_l
         mr = self.match_r
         rml = self.rml
@@ -305,7 +305,7 @@ class _ArrayMatcher:
         Hopcroft–Karp run could augment).  When this returns False,
         skipping the run leaves the matcher in the identical state a
         real (failed) run would.  Only valid while the matching changes
-        exclusively through :meth:`augment_to_max` (replay sweeps) —
+        exclusively through :meth:`augment_to_max` (exact sweeps) —
         eviction invalidates the reachability set.
 
         While ``reach_stale`` is set (a limit early-exit skipped the
@@ -353,7 +353,7 @@ class _ArrayMatcher:
         holding the final (failed) BFS distances.
 
         ``limit`` is an upper bound on how many augmenting paths this
-        call can possibly find (replay sweeps pass the just-admitted
+        call can possibly find (exact sweeps pass the just-admitted
         batch size: a maximum matching grows by at most one per new
         edge, and the sweep keeps the matching maximum between probes).
         Once ``limit`` paths have been augmented the matching is
@@ -662,7 +662,7 @@ def hopcroft_karp_vec(
 
 
 # ---------------------------------------------------------------------
-# Vectorized bottleneck threshold sweep (engine='vector')
+# Exact bottleneck threshold sweep (engines 'fast' and 'vector')
 # ---------------------------------------------------------------------
 
 
@@ -771,80 +771,103 @@ def _vector_sweep(
     return probes, skipped, phases, augmented
 
 
-def _vector_bottleneck_sweep(graph: BipartiteGraph, target: int) -> Matching:
-    """Stateless vector threshold sweep used by ``bottleneck_matching``.
+class BottleneckPeeler:
+    """Warm-started bottleneck perfect matchings (``fast``, ``vector``).
 
-    Builds the dense indexing once, sweeps descending weight classes,
-    and returns the same matching the Python sweep produces.
-    """
-    lefts = graph.left_nodes()
-    rights = graph.right_nodes()
-    lidx = {node: i for i, node in enumerate(lefts)}
-    ridx = {node: j for j, node in enumerate(rights)}
-    size = max(graph.edge_ids(), default=-1) + 1
-    el = [0] * size
-    er = [0] * size
-    order = []
-    for eid, left, right, weight, _kind in graph.iter_edge_data():
-        el[eid] = lidx[left]
-        er[eid] = ridx[right]
-        order.append((-weight, eid))
-    order.sort()
-    matcher = _ArrayMatcher(len(lefts), len(rights), el, er)
-    probes, skipped, phases, augmented = _vector_sweep(matcher, order, target)
-    metrics = obs.metrics()
-    metrics.counter("matching.hk.bfs_phases").inc(phases)
-    metrics.counter("matching.hk.augmenting_paths").inc(augmented)
-    metrics.counter("matching.bottleneck.threshold_probes").inc(probes)
-    if skipped:
-        metrics.counter("matching.bottleneck.skipped_probes").inc(skipped)
-    match_l = matcher.match_l
-    return Matching(
-        graph.edge(match_l[i]) for i in range(len(lefts)) if match_l[i] >= 0
-    )
+    Finds, per call, a perfect matching whose minimum edge weight is
+    maximum (paper Figure 6) — the same matching as
+    :func:`~repro.matching.bottleneck.bottleneck_matching` with
+    ``require='perfect'`` on the graph's current state, edge for edge.
+    What persists across peels is the descending weight-class index (a
+    sorted ``(-weight, id)`` list; only the peeled edges move, each by
+    bisect), the dense node indexing and the :class:`_ArrayMatcher`
+    scratch state.  Each call regrows the matching from empty with
+    :func:`_vector_sweep`, which is what keeps it faithful to the
+    stateless sweep while exact probe skipping drops the unproductive
+    Hopcroft–Karp runs.
 
-
-class VectorBottleneckPeeler:
-    """``engine='vector'``: the replay bottleneck peeler, vectorized.
-
-    Produces matchings bit-identical to
-    :class:`repro.matching.peeler.BottleneckPeeler` in replay mode (and
-    therefore to the stateless reference path): the sorted weight-class
-    index, admission order, and augmentation order are all preserved.
-    The speed comes from the shared :class:`_ArrayMatcher` (numpy BFS
-    on large admitted sets) and from exact probe skipping (module
-    docstring), which eliminates the unproductive Hopcroft–Karp calls
-    that dominate the replay sweep.
+    Contract: between two :meth:`next_matching` calls, only the edges of
+    the previously returned matching may change (the WRGP peel
+    invariant).
     """
 
     def __init__(self, graph: BipartiteGraph) -> None:
-        # Reuse the replay peeler's index construction and maintenance
-        # (sorted order, dense endpoint maps, bisect repair after peels).
-        from repro.matching.peeler import BottleneckPeeler
-
-        self._base = base = BottleneckPeeler(graph, mode="replay")
+        if graph.num_left != graph.num_right:
+            raise MatchingError(
+                f"perfect matching impossible: {graph.num_left} left vs "
+                f"{graph.num_right} right nodes"
+            )
         self.graph = graph
-        self._n = base._n
-        self._matcher = _ArrayMatcher(base._n, base._n, base._el, base._er)
+        lidx = {node: i for i, node in enumerate(graph.left_nodes())}
+        ridx = {node: j for j, node in enumerate(graph.right_nodes())}
+        self._n = n = len(lidx)
+        size = max(graph.edge_ids(), default=-1) + 1
+        el = [0] * size
+        er = [0] * size
+        order = []
+        for eid, left, right, weight, _kind in graph.iter_edge_data():
+            el[eid] = lidx[left]
+            er[eid] = ridx[right]
+            order.append((-weight, eid))
+        order.sort()
+        #: Descending weight-class index: ascending ``(-weight, id)``.
+        self._order = order
+        self._matcher = _ArrayMatcher(n, n, el, er)
+        #: (edge id, weight at yield) of the last returned matching.
+        self._last: list[tuple[int, Number]] = []
+
+    def _refresh_order(self) -> None:
+        """Repair the sorted class index after the last peel.
+
+        Only the previously matched edges changed weight, so each one is
+        located by its recorded key (binary search), removed, and
+        re-inserted at its new position — or dropped when exhausted.
+        """
+        order = self._order
+        graph = self.graph
+        for eid, old_w in self._last:
+            old_key = (-old_w, eid)
+            pos = bisect_left(order, old_key)
+            if pos < len(order) and order[pos] == old_key:
+                del order[pos]
+            if graph.has_edge_id(eid):
+                insort(order, (-graph.edge_weight(eid), eid))
 
     def next_matching(self) -> Matching:
-        """Bottleneck-optimal perfect matching of the graph's current state."""
-        base = self._base
-        base._refresh_order()
+        """Bottleneck-optimal perfect matching of the graph's current state.
+
+        Raises :class:`MatchingError` when no perfect matching exists.
+        """
+        self._refresh_order()
         matcher = self._matcher
         matcher.reset_matching()
         probes, skipped, phases, augmented = _vector_sweep(
-            matcher, base._order, self._n
+            matcher, self._order, self._n
         )
+        graph = self.graph
+        edges = [graph.edge(eid) for eid in matcher.match_l]
+        self._last = [(e.id, e.weight) for e in edges]
         metrics = obs.metrics()
         metrics.counter("matching.hk.bfs_phases").inc(phases)
         metrics.counter("matching.hk.augmenting_paths").inc(augmented)
+        metrics.counter("matching.bottleneck.calls").inc()
+        metrics.counter("matching.bottleneck.threshold_probes").inc(probes)
         if skipped:
             metrics.counter("matching.bottleneck.skipped_probes").inc(skipped)
-        # _finish() reads match_l for the edge ids and records _last for
-        # the next order repair.
-        base._match_l = matcher.match_l
-        return base._finish(probes)
+        return Matching(edges)
+
+
+class VectorBottleneckPeeler(BottleneckPeeler):
+    """Former class of ``engine='vector'``; :class:`BottleneckPeeler` now.
+
+    No engine builds it.  It stays importable, with a ``next_matching``
+    entry of its own, because the benchmark tracer
+    (``perfbench/tracing.py``) patches that method on this class by
+    name; sharing the function keeps every exact peel inside exactly
+    one patched method.
+    """
+
+    next_matching = BottleneckPeeler.next_matching
 
 
 # ---------------------------------------------------------------------
@@ -853,14 +876,15 @@ class VectorBottleneckPeeler:
 
 
 class ApproxPeelCore:
-    """Array-based sparsified resume peeling of a weight-regular graph.
+    """Array-based sparsified persistent peeling of a weight-regular graph.
 
     Implements the ``engine='approx'`` strategy: Etzold's reduction of
     dense bipartite graphs to sparse candidate subgraphs (each node
     exposes only its ``degree`` heaviest live incident edges to the
-    matcher), combined with resume-mode persistence (the matching and
-    admitted set survive across peels; only exhausted or
-    under-threshold edges are evicted and re-augmented).
+    matcher), combined with persistence across peels (the matching and
+    admitted set survive; only exhausted or under-threshold edges are
+    evicted and re-augmented, resuming the threshold sweep from the
+    last bottleneck value, which never increases across peels).
 
     The core owns its own weight array and never touches the source
     graph after construction, so the GGP fast path can peel 10–100×
@@ -870,8 +894,8 @@ class ApproxPeelCore:
 
     Validity: every round ends with a *perfect* matching (when the
     candidate pool runs dry, one more edge per node is promoted and the
-    sweep continues — with all edges promoted this is the plain resume
-    engine, and a weight-regular graph always has a perfect matching),
+    sweep continues — with all edges promoted every edge is a
+    candidate, and a weight-regular graph always has a perfect matching),
     so any schedule built from the rounds is a legal GGP run and keeps
     the paper's 2-approximation guarantee.  The bottleneck values are
     merely near-optimal, which is the measured quality delta.
@@ -974,7 +998,7 @@ class ApproxPeelCore:
         """One peel round: ``(matched edge ids, peel amount, probes)``.
 
         Applies the previous round's peel to the internal weights
-        first, then evicts stale admitted edges (resume semantics) and
+        first, then evicts stale admitted edges (the matching persists) and
         sweeps the pending candidates until the matching is perfect.
         Raises :class:`MatchingError` if no perfect matching exists
         even with every edge promoted.

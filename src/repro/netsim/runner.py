@@ -72,9 +72,9 @@ def build_schedule(
     ratios.  Repeated calls with an equivalent traffic matrix reuse the
     schedule through ``cache`` (pass ``None`` to force a fresh run).
     ``engine`` picks the peeling engine (see
-    :data:`repro.core.wrgp.VALID_ENGINES`; ``'vector'`` is bit-identical
-    to the default, ``'approx'`` trades schedule quality for speed on
-    the largest platforms).
+    :data:`repro.core.wrgp.VALID_ENGINES`; ``'vector'`` names the
+    default, ``'approx'`` trades schedule quality for speed on the
+    largest platforms).
     """
     graph = from_traffic_matrix(traffic_mbit, speed=spec.flow_rate)
     return cached_schedule(

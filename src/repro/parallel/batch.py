@@ -31,6 +31,7 @@ computed independently).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Sequence
 
 from repro import obs
@@ -41,7 +42,7 @@ from repro.core.cache import (
     canonical_signature,
 )
 from repro.core.schedule import Schedule, Step, Transfer
-from repro.core.wrgp import VALID_ENGINES
+from repro.core.wrgp import _check_engine
 from repro.graph.bipartite import BipartiteGraph
 from repro.parallel.pool import WorkerPool, WorkerTaskError, worker_cache
 from repro.parallel.wire import decode_graph, encode_graph
@@ -207,124 +208,112 @@ def schedule_batch(
     (a :class:`~repro.obs.server.MetricsServer` on that port; ``0``
     picks an ephemeral one).
     """
+    serving = nullcontext()
     if metrics_port is not None:
         from repro.obs.server import MetricsServer
 
-        with MetricsServer(port=metrics_port):
-            return schedule_batch(
-                graphs,
+        serving = MetricsServer(port=metrics_port)
+    with serving:
+        if algorithm not in BATCH_ALGORITHMS:
+            raise ConfigError(
+                f"unknown algorithm {algorithm!r}; "
+                f"valid: {', '.join(BATCH_ALGORITHMS)}"
+            )
+        _check_engine(engine)
+        graphs = list(graphs)
+        n = len(graphs)
+        metrics = obs.metrics()
+        metrics.counter("parallel.batch_calls").inc()
+        metrics.counter("parallel.batch_graphs").inc(n)
+        if n == 0:
+            return []
+
+        serial = pool is None and (jobs == 1)
+        if not serial and pool is None:
+            if min_parallel_items is not None:
+                fallback = n < min_parallel_items
+            else:
+                fallback = _estimated_cost(graphs) < MIN_PARALLEL_COST
+            if fallback:
+                metrics.counter("parallel.batch.serial_fallback").inc()
+                serial = True
+        if serial:
+            return [
+                cached_schedule(
+                    g, k=k, beta=beta, algorithm=algorithm, engine=engine,
+                    cache=cache,
+                )
+                for g in graphs
+            ]
+
+        # Single pass in submission order, mirroring the serial cached loop:
+        # a graph either hits the parent cache, opens a new canonical group
+        # (becoming its representative), or joins an existing group.
+        results: list[Schedule | None] = [None] * n
+        rep_indices: list[int] = []  # representative graph index per group
+        group_of: dict[tuple, int] = {}  # canonical signature -> group number
+        members: list[list[int]] = []  # non-representative indices per group
+        for i, graph in enumerate(graphs):
+            if cache is not None:
+                signature = canonical_signature(graph)
+                group = group_of.get(signature)
+                if group is not None:
+                    members[group].append(i)
+                    continue
+                hit = cache.get(graph, k, beta, f"{algorithm}/{engine}")
+                if hit is not None:
+                    results[i] = hit
+                    continue
+                group_of[signature] = len(rep_indices)
+            rep_indices.append(i)
+            members.append([])
+
+        payloads = [
+            (
+                encode_graph(graphs[i]),
                 algorithm,
                 k,
                 beta,
-                engine=engine,
-                jobs=jobs,
-                cache=cache,
-                pool=pool,
-                chunk_size=chunk_size,
-                retry=retry,
-                task_timeout=task_timeout,
-                fault_plan=fault_plan,
-                min_parallel_items=min_parallel_items,
+                engine,
+                cache is not None,
             )
-    if algorithm not in BATCH_ALGORITHMS:
-        raise ConfigError(
-            f"unknown algorithm {algorithm!r}; valid: {', '.join(BATCH_ALGORITHMS)}"
-        )
-    if engine not in VALID_ENGINES:
-        raise ValueError(
-            f"unknown peel engine {engine!r}; valid engines: "
-            + ", ".join(repr(e) for e in VALID_ENGINES)
-        )
-    graphs = list(graphs)
-    n = len(graphs)
-    metrics = obs.metrics()
-    metrics.counter("parallel.batch_calls").inc()
-    metrics.counter("parallel.batch_graphs").inc(n)
-    if n == 0:
-        return []
-
-    serial = pool is None and (jobs == 1)
-    if not serial and pool is None:
-        if min_parallel_items is not None:
-            fallback = n < min_parallel_items
-        else:
-            fallback = _estimated_cost(graphs) < MIN_PARALLEL_COST
-        if fallback:
-            metrics.counter("parallel.batch.serial_fallback").inc()
-            serial = True
-    if serial:
-        return [
-            cached_schedule(
-                g, k=k, beta=beta, algorithm=algorithm, engine=engine, cache=cache
-            )
-            for g in graphs
+            for i in rep_indices
         ]
+        metrics.counter("parallel.batch_dispatched").inc(len(payloads))
 
-    # Single pass in submission order, mirroring the serial cached loop:
-    # a graph either hits the parent cache, opens a new canonical group
-    # (becoming its representative), or joins an existing group.
-    results: list[Schedule | None] = [None] * n
-    rep_indices: list[int] = []  # representative graph index per group
-    group_of: dict[tuple, int] = {}  # canonical signature -> group number
-    members: list[list[int]] = []  # non-representative indices per group
-    for i, graph in enumerate(graphs):
-        if cache is not None:
-            signature = canonical_signature(graph)
-            group = group_of.get(signature)
-            if group is not None:
-                members[group].append(i)
-                continue
-            hit = cache.get(graph, k, beta, f"{algorithm}/{engine}")
-            if hit is not None:
-                results[i] = hit
-                continue
-            group_of[signature] = len(rep_indices)
-        rep_indices.append(i)
-        members.append([])
-
-    payloads = [
-        (
-            encode_graph(graphs[i]),
-            algorithm,
-            k,
-            beta,
-            engine,
-            cache is not None,
+        own_pool = pool is None
+        active = (
+            pool
+            if pool is not None
+            else make_schedule_pool(
+                jobs, retry=retry, task_timeout=task_timeout,
+                fault_plan=fault_plan,
+            )
         )
-        for i in rep_indices
-    ]
-    metrics.counter("parallel.batch_dispatched").inc(len(payloads))
-
-    own_pool = pool is None
-    active = (
-        pool
-        if pool is not None
-        else make_schedule_pool(
-            jobs, retry=retry, task_timeout=task_timeout, fault_plan=fault_plan
-        )
-    )
-    try:
         try:
-            raw = active.map(payloads, chunk_size=chunk_size)
-        except WorkerTaskError as exc:
-            graph_index = rep_indices[exc.index]
-            raise WorkerTaskError(
-                graph_index,
-                f"{exc.detail} (graph {graph_index} of the batch, "
-                f"algorithm {algorithm!r}, engine {engine!r})",
-            ) from exc
-    finally:
-        if own_pool:
-            active.shutdown()
+            try:
+                raw = active.map(payloads, chunk_size=chunk_size)
+            except WorkerTaskError as exc:
+                graph_index = rep_indices[exc.index]
+                raise WorkerTaskError(
+                    graph_index,
+                    f"{exc.detail} (graph {graph_index} of the batch, "
+                    f"algorithm {algorithm!r}, engine {engine!r})",
+                ) from exc
+        finally:
+            if own_pool:
+                active.shutdown()
 
-    for group, (rep_index, data) in enumerate(zip(rep_indices, raw)):
-        schedule = _schedule_from_data(data)
-        results[rep_index] = schedule
-        if cache is not None:
-            cache.put(graphs[rep_index], k, beta, f"{algorithm}/{engine}", schedule)
-            for member in members[group]:
-                results[member] = cache.get(
-                    graphs[member], k, beta, f"{algorithm}/{engine}"
+        for group, (rep_index, data) in enumerate(zip(rep_indices, raw)):
+            schedule = _schedule_from_data(data)
+            results[rep_index] = schedule
+            if cache is not None:
+                cache.put(
+                    graphs[rep_index], k, beta, f"{algorithm}/{engine}", schedule
                 )
-    assert all(s is not None for s in results)
-    return results  # type: ignore[return-value]
+                for member in members[group]:
+                    results[member] = cache.get(
+                        graphs[member], k, beta, f"{algorithm}/{engine}"
+                    )
+        assert all(s is not None for s in results)
+        return results  # type: ignore[return-value]

@@ -289,7 +289,11 @@ def _drive(
     from repro.core.cache import cached_schedule
     from repro.core.repair import _remap_steps, apply_traffic_delta, repair_plan
     from repro.core.schedule import Schedule
+    from repro.core.wrgp import _check_engine
 
+    # Before the journal begins: a stored config naming an engine that
+    # no longer exists must fail cleanly, even with nothing to schedule.
+    _check_engine(engine)
     if retry is None:
         retry = RetryPolicy(max_attempts=8, backoff_base=0.0, jitter=0.0)
     if store is not None and extra is not None:

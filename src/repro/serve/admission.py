@@ -192,7 +192,7 @@ class LadderConfig:
 
 #: Engines downgraded to ``approx`` at ladder level >= 1 (``approx``
 #: itself and unknown engines pass through untouched).
-_DEGRADABLE_ENGINES = ("fast", "vector", "resume", "reference")
+_DEGRADABLE_ENGINES = ("fast", "vector", "reference")
 #: Algorithms downgraded to ``greedy`` at ladder level >= 2.
 _DEGRADABLE_ALGORITHMS = ("oggp", "ggp", "wrgp")
 

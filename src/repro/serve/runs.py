@@ -64,6 +64,8 @@ _CONFIG_DEFAULTS: dict[str, object] = {
 }
 _INT_KEYS = ("seed", "n1", "n2", "k")
 _FLOAT_KEYS = ("payload_kb", "beta", "nic_mbit", "backbone_mbit")
+#: Schedulers a transfer run accepts (``kpbs transfer --algorithm``).
+_METHODS = ("ggp", "oggp")
 
 
 class RunActiveError(ReproError):
@@ -71,6 +73,8 @@ class RunActiveError(ReproError):
 
 
 def _normalize_config(params: Mapping) -> dict:
+    from repro.core.wrgp import _check_engine
+
     unknown = sorted(set(params) - set(_CONFIG_DEFAULTS))
     if unknown:
         known = ", ".join(sorted(_CONFIG_DEFAULTS))
@@ -94,6 +98,12 @@ def _normalize_config(params: Mapping) -> dict:
         raise ConfigError(
             f"payload_kb must be positive, got {config['payload_kb']}"
         )
+    if config["method"] not in _METHODS:
+        raise ConfigError(
+            f"unknown method {config['method']!r}; valid methods: "
+            + ", ".join(_METHODS)
+        )
+    _check_engine(config["engine"])
     # Validate fault/retry specs at admission time, not mid-run.
     if config["faults"]:
         FaultSpec.parse(str(config["faults"]))
@@ -203,14 +213,40 @@ class RunRegistry:
         ]
 
     def resume_incomplete(self) -> list[dict]:
-        """Finish every run a crash left behind; returns their results."""
+        """Finish every run a crash left behind; returns their results.
+
+        A run that cannot run — its stored config names an engine or
+        method this version does not know, or its journal is unreadable —
+        gets a ``failed`` result and a ``server.error`` event, and the
+        next run is resumed.  A run another process holds still raises
+        :class:`RunActiveError`.
+        """
         results = []
         for run_id in self.incomplete_runs():
             obs.emit("server.resume", run_id=run_id)
-            results.append(self.execute(run_id, {}))
+            try:
+                results.append(self.execute(run_id, {}))
+            except RunActiveError:
+                raise
+            except ReproError as exc:
+                error = str(exc)
+                obs.emit(
+                    "server.error", where="resume", run_id=run_id, error=error
+                )
+                result = {
+                    "run_id": run_id, "state": "failed", "complete": False,
+                    "resumed": True, "error": error,
+                }
+                self._write_result(self.run_dir(run_id), result)
+                results.append(result)
         return results
 
     # -- internals -------------------------------------------------------
+
+    def _write_result(self, rdir: Path, result: dict) -> None:
+        tmp = rdir / (RESULT_NAME + ".tmp")
+        tmp.write_text(json.dumps(result, indent=2, sort_keys=True))
+        os.replace(tmp, rdir / RESULT_NAME)
 
     def _resilience(self, config: Mapping) -> tuple:
         faults = None
@@ -285,9 +321,7 @@ class RunRegistry:
             "digest": delivered_digest(report.delivered),
             "seconds": round(time.monotonic() - started, 6),
         }
-        tmp = rdir / (RESULT_NAME + ".tmp")
-        tmp.write_text(json.dumps(result, indent=2, sort_keys=True))
-        os.replace(tmp, rdir / RESULT_NAME)
+        self._write_result(rdir, result)
         obs.emit(
             "server.run_complete",
             run_id=run_id,

@@ -63,6 +63,15 @@ class TestSchedule:
         assert main(["schedule", "--input", str(src), "--k", "1"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_removed_resume_engine_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "m.json"
+        src.write_text(json.dumps([[10.0, 0.0], [5.0, 20.0]]))
+        with pytest.raises(SystemExit) as exc:
+            main(["schedule", "--input", str(src), "--k", "1",
+                  "--engine", "resume"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'resume'" in capsys.readouterr().err
+
 
 class TestRun:
     def test_fig7_quick_with_csv(self, tmp_path, capsys):
@@ -440,6 +449,23 @@ class TestResume:
     def test_resume_without_run_config_fails_cleanly(self, tmp_path, capsys):
         assert main(["resume", "--checkpoint-dir", str(tmp_path)]) == 2
         assert "run.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("retries", ["1", "8"], ids=["partial", "complete"])
+    def test_stored_resume_engine_fails_cleanly(self, tmp_path, capsys, retries):
+        # A run recorded while 'resume' was still a peel engine: resuming
+        # it must end in a clean error, whether or not work is left.
+        ckdir = tmp_path / "ck"
+        main(["transfer", "--seed", "5", "--checkpoint-dir", str(ckdir),
+              *self.FAST, *self.FAULTS, "--retries", retries])
+        capsys.readouterr()
+        config = json.loads((ckdir / "run.json").read_text())
+        config["engine"] = "resume"
+        (ckdir / "run.json").write_text(json.dumps(config))
+        journal = (ckdir / "journal.kpbj").read_bytes()
+        assert main(["resume", "--checkpoint-dir", str(ckdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "valid engines" in err
+        assert (ckdir / "journal.kpbj").read_bytes() == journal
 
 
 class TestWatch:

@@ -4,10 +4,7 @@ The ``'fast'`` engine keeps sorted indices, node maps and matrix state
 alive across peels but must remain *observably identical* to the
 ``'reference'`` engine (fresh :func:`bottleneck_matching` /
 :func:`hungarian_perfect_matching` calls every peel): same schedules,
-same costs, same step counts, on every input.  The ``'resume'`` engine
-additionally carries the matching itself across peels, which may pick
-different (equally valid) matchings — it only promises a correct
-schedule.
+same costs, same step counts, on every input.
 """
 
 from fractions import Fraction
@@ -144,40 +141,39 @@ class TestMaxWeightArrayCore:
         assert fast[1], "expected at least one peel.progress beacon"
 
 
-class TestResumeEngine:
-    """'resume' only promises validity, not identity — check exactly that."""
-
-    @given(bipartite_graphs(), ks, betas)
-    @settings(max_examples=50, deadline=None)
-    def test_oggp_resume_is_valid(self, g, k, beta):
-        schedule = oggp(g, k, beta, engine="resume")
-        schedule.validate(g)
-
-    @given(st.integers(0, 10**6), st.integers(2, 7), betas)
-    @settings(max_examples=30, deadline=None)
-    def test_wrgp_resume_is_valid(self, seed, n, beta):
-        g = random_weight_regular(seed, n=n)
-        schedule = wrgp(g, beta=beta, matching="bottleneck", engine="resume")
-        schedule.validate(g)
-
-    def test_resume_can_differ_but_stays_close(self):
-        # A fixed instance where warm matchings are known to change the
-        # peel sequence: both runs must still validate and stay within
-        # the 2-approximation of each other.
-        g = random_weight_regular(17, n=6, layers=4)
-        fast = wrgp(g, beta=1.0, matching="bottleneck", engine="fast")
-        resume = wrgp(g, beta=1.0, matching="bottleneck", engine="resume")
-        fast.validate(g)
-        resume.validate(g)
-        assert resume.cost <= 2 * fast.cost
-        assert fast.cost <= 2 * resume.cost
-
-
 class TestEngineArgument:
     def test_unknown_engine_rejected(self):
         g = random_weight_regular(1, n=3)
         with pytest.raises(ConfigError):
             wrgp(g, matching="bottleneck", engine="warp")
+
+    @pytest.mark.parametrize("empty", [False, True], ids=["graph", "empty"])
+    def test_removed_resume_engine_lists_valid_ones(self, empty):
+        from repro.core.wrgp import VALID_ENGINES
+
+        assert VALID_ENGINES == ("fast", "vector", "approx", "reference")
+        g = from_traffic_matrix(np.zeros((2, 2)) if empty else [[3, 1], [2, 4]])
+        with pytest.raises(ConfigError) as excinfo:
+            oggp(g, 2, 1.0, engine="resume")
+        for engine in VALID_ENGINES:
+            assert repr(engine) in str(excinfo.value)
+
+    def test_fast_and_vector_build_the_same_peeler(self, monkeypatch):
+        from repro.matching.peeler import BottleneckPeeler
+
+        built = []
+        init = BottleneckPeeler.__init__
+
+        def recording(self, graph):
+            built.append(type(self))
+            init(self, graph)
+
+        monkeypatch.setattr(BottleneckPeeler, "__init__", recording)
+        g = random_bipartite(11, max_side=6, max_edges=20)
+        assert oggp(g, 3, 1.0, engine="fast").to_dict() == (
+            oggp(g, 3, 1.0, engine="vector").to_dict()
+        )
+        assert built == [BottleneckPeeler, BottleneckPeeler]
 
     def test_unknown_engine_is_a_value_error_listing_engines(self):
         # ConfigError doubles as ValueError so stdlib-only callers can

@@ -10,7 +10,6 @@ from repro.graph.generators import random_weight_regular
 from repro.matching.bottleneck import bottleneck_matching
 from repro.matching.hungarian import hungarian_perfect_matching
 from repro.matching.peeler import BottleneckPeeler, HungarianPeeler
-from repro.util.errors import MatchingError
 
 
 def drive(graph: BipartiteGraph, next_matching) -> list[tuple[list[int], float]]:
@@ -29,7 +28,7 @@ def drive(graph: BipartiteGraph, next_matching) -> list[tuple[list[int], float]]
 def test_replay_matches_stateless_bottleneck(seed):
     g = random_weight_regular(seed, n=6, layers=4)
     warm = g.copy()
-    peeler = BottleneckPeeler(warm, mode="replay")
+    peeler = BottleneckPeeler(warm)
     got = drive(warm, peeler.next_matching)
     cold = g.copy()
     want = drive(cold, lambda: bottleneck_matching(cold, require="perfect"))
@@ -102,33 +101,8 @@ def test_hungarian_peeler_parallel_edges(seed, scale):
     assert got == want
 
 
-@pytest.mark.parametrize("seed", [0, 5, 23])
-def test_resume_peels_to_exhaustion_with_perfect_matchings(seed):
-    g = random_weight_regular(seed, n=6, layers=4)
-    n = g.num_left
-    peeler = BottleneckPeeler(g, mode="resume")
-    bottlenecks = []
-    while not g.is_empty():
-        m = peeler.next_matching()
-        assert len(m) == n  # perfect every peel
-        peel = m.min_weight()
-        bottlenecks.append(float(peel))
-        for e in m.edges():
-            g.peel_weight(e.id, peel)
-    # The bottleneck value of a weight-regular graph never increases
-    # across peels (any perfect matching of the peeled graph existed
-    # before the peel with weights at least as large).
-    assert bottlenecks == sorted(bottlenecks, reverse=True)
-
-
-def test_bottleneck_peeler_rejects_unknown_mode():
-    g = random_weight_regular(0, n=3)
-    with pytest.raises(MatchingError):
-        BottleneckPeeler(g, mode="psychic")
-
-
 def test_single_edge_graph():
     g = BipartiteGraph.from_edges([(0, 0, 5)])
-    peeler = BottleneckPeeler(g.copy(), mode="replay")
+    peeler = BottleneckPeeler(g.copy())
     m = peeler.next_matching()
     assert [e.weight for e in m.edges()] == [5]

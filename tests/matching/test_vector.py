@@ -2,10 +2,9 @@
 
 ``hopcroft_karp_vec`` promises *bit-identity* with ``hopcroft_karp`` —
 same edge ids in the matching, same counters-worthy behaviour on the
-``allowed`` filter and warm starts — because the exact ``'vector'``
-engine substitutes it inside peel loops whose schedules must not
-change.  ``bottleneck_matching(engine='vector')`` promises the same
-against the default python engine.
+``allowed`` filter and warm starts.  The exact bottleneck peeler, whose
+threshold sweep runs on the same array core, promises the same against
+the stateless ``bottleneck_matching``.
 """
 
 from hypothesis import given, settings
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.matching.bottleneck import bottleneck_matching
 from repro.matching.hopcroft_karp import hopcroft_karp
-from repro.matching.vector import hopcroft_karp_vec
+from repro.matching.vector import BottleneckPeeler, hopcroft_karp_vec
 from tests.conftest import bipartite_graphs
 
 
@@ -64,13 +63,6 @@ class TestHopcroftKarpVec:
 
 
 class TestBottleneckVectorEngine:
-    @given(bipartite_graphs(max_side=7, max_edges=20))
-    @settings(max_examples=100, deadline=None)
-    def test_maximum_mode_identical(self, g):
-        py = bottleneck_matching(g)
-        vec = bottleneck_matching(g, engine="vector")
-        assert edge_ids(py) == edge_ids(vec)
-
     @given(st.integers(0, 10**6), st.integers(2, 7))
     @settings(max_examples=60, deadline=None)
     def test_perfect_mode_identical(self, seed, n):
@@ -78,7 +70,7 @@ class TestBottleneckVectorEngine:
 
         g = random_weight_regular(seed, n=n)
         py = bottleneck_matching(g, require="perfect")
-        vec = bottleneck_matching(g, require="perfect", engine="vector")
+        vec = BottleneckPeeler(g).next_matching()
         assert edge_ids(py) == edge_ids(vec)
         assert min(e.weight for e in py.edges()) == min(
             e.weight for e in vec.edges()
@@ -89,6 +81,6 @@ class TestBottleneckVectorEngine:
 
         g = random_weight_regular(3, n=5)
         with obs.observed() as (reg, _tr):
-            bottleneck_matching(g, engine="vector")
+            BottleneckPeeler(g).next_matching()
         assert reg.counter("matching.bottleneck.calls").value == 1
         assert reg.counter("matching.bottleneck.threshold_probes").value >= 1

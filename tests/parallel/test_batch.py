@@ -13,7 +13,7 @@ from repro.util.errors import ConfigError
 from tests.conftest import bipartite_graphs
 
 ALGORITHMS = ("ggp", "oggp", "greedy")
-ENGINES = ("fast", "vector", "resume", "reference")
+ENGINES = ("fast", "vector", "reference")
 
 
 def flat(schedule: Schedule) -> tuple:
@@ -123,14 +123,45 @@ class TestBitIdentical:
             schedule.validate(graph)
 
 
+class TestMetricsPort:
+    def test_result_equals_the_call_without_a_port(self, monkeypatch):
+        import repro.obs.server as server
+
+        served = []
+
+        class Recording(server.MetricsServer):
+            def __enter__(self):
+                running = super().__enter__()
+                served.append(running.port)
+                return running
+
+        monkeypatch.setattr(server, "MetricsServer", Recording)
+        graphs = [
+            BipartiteGraph.from_edges([(0, 0, 4), (0, 1, 2), (1, 1, 3)]),
+            BipartiteGraph.from_edges([(0, 0, 1), (1, 1, 6), (1, 0, 2)]),
+        ]
+        plain = schedule_batch(graphs, "oggp", k=2, beta=1.0, cache=None)
+        assert served == []
+        live = schedule_batch(
+            graphs, "oggp", k=2, beta=1.0, cache=None, metrics_port=0
+        )
+        assert len(served) == 1 and served[0] > 0
+        assert [flat(s) for s in live] == [flat(s) for s in plain]
+
+
 class TestValidation:
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError, match="unknown algorithm"):
             schedule_batch([], "simplex", k=1, beta=0.0)
 
     def test_unknown_engine_lists_valid_ones(self):
-        with pytest.raises(ValueError, match="fast.*resume.*reference"):
+        with pytest.raises(ConfigError, match="fast.*vector.*approx.*reference"):
             schedule_batch([], "oggp", k=1, beta=0.0, engine="warp")
+
+    def test_removed_resume_engine_rejected(self):
+        graph = BipartiteGraph.from_edges([(0, 0, 2)])
+        with pytest.raises(ConfigError, match="valid engines"):
+            schedule_batch([graph], "oggp", k=1, beta=0.0, engine="resume")
 
 
 class TestFailureSurfacing:

@@ -73,6 +73,13 @@ class TestBasicOps:
                 "schedule", matrix=MATRIX, algorithm="qsort", max_attempts=1
             )
 
+    def test_removed_resume_engine_gets_error_frame(self, client):
+        with pytest.raises(ServeError, match="valid engines: fast, vector"):
+            client.call(
+                "schedule", matrix=MATRIX, engine="resume", max_attempts=1
+            )
+        assert client.ping()["status"] == "ok"  # the daemon stays up
+
     def test_transfer_disabled_without_state_dir(self, client):
         with pytest.raises(ServeError, match="state-dir"):
             client.transfer("r1", max_attempts=1)

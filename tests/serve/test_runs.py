@@ -54,6 +54,24 @@ class TestExecute:
         with pytest.raises(ConfigError, match="n1"):
             registry.execute("r1", {**PARAMS, "n1": 0})
 
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ({"engine": "bogus"}, "valid engines: 'fast', 'vector'"),
+            ({"engine": "resume"}, "valid engines"),
+            ({"method": "nope"}, "valid methods: ggp, oggp"),
+        ],
+        ids=["engine", "resume", "method"],
+    )
+    def test_unknown_engine_or_method_rejected_before_run_json(
+        self, registry, bad, match
+    ):
+        with pytest.raises(ConfigError, match=match):
+            registry.execute("a", {**PARAMS, **bad})
+        # Nothing recorded, so nothing for a later start to resume.
+        assert not (registry.run_dir("a") / RUN_CONFIG_NAME).exists()
+        assert registry.incomplete_runs() == []
+
     def test_status_lifecycle(self, registry):
         assert registry.status("r1")["state"] == "unknown"
         registry.execute("r1", PARAMS)
@@ -61,7 +79,7 @@ class TestExecute:
 
 
 class TestCrashRecovery:
-    def config_only_run(self, registry, run_id):
+    def config_only_run(self, registry, run_id, **overrides):
         """Simulate a daemon killed after admission, before any byte."""
         rdir = registry.run_dir(run_id)
         rdir.mkdir(parents=True)
@@ -69,9 +87,57 @@ class TestCrashRecovery:
             "seed": 5, "n1": 2, "n2": 2, "payload_kb": 4.0, "k": 3,
             "beta": 0.0, "method": "oggp", "engine": "fast",
             "nic_mbit": 1000.0, "backbone_mbit": 1000.0,
-            "faults": None, "retries": None,
+            "faults": None, "retries": None, **overrides,
         }
         (rdir / RUN_CONFIG_NAME).write_text(json.dumps(config))
+
+    def test_unrunnable_stored_configs_fail_and_the_rest_resume(
+        self, tmp_path
+    ):
+        from repro import obs
+
+        reference = RunRegistry(tmp_path / "ref").execute("r", PARAMS)
+        registry = RunRegistry(tmp_path / "state")
+        # Stored by an older version that accepted these names; they
+        # sort before the valid crashed run.
+        self.config_only_run(registry, "a", engine="bogus")
+        self.config_only_run(registry, "b", method="nope")
+        self.config_only_run(registry, "c-good")
+        with obs.observed() as (_registry, _tracer):
+            results = registry.resume_incomplete()
+            errors = [
+                e.fields for e in obs.events().tail()
+                if e.kind == "server.error"
+            ]
+        by_id = {r["run_id"]: r for r in results}
+        assert sorted(by_id) == ["a", "b", "c-good"]
+        for run_id, match in (("a", "'bogus'"), ("b", "'nope'")):
+            assert by_id[run_id]["state"] == "failed"
+            assert match in by_id[run_id]["error"]
+            assert registry.status(run_id)["state"] == "failed"
+        assert by_id["c-good"]["complete"] is True
+        assert by_id["c-good"]["digest"] == reference["digest"]
+        assert [e["run_id"] for e in errors] == ["a", "b"]
+        # Every run now has a result: the next start resumes nothing.
+        assert registry.incomplete_runs() == []
+
+    def test_unreadable_journal_fails_and_the_rest_resume(self, registry):
+        self.config_only_run(registry, "a")
+        (registry.run_dir("a") / "journal.kpbj").write_bytes(b"garbage" * 9)
+        self.config_only_run(registry, "b-good")
+        results = registry.resume_incomplete()
+        assert [r["state"] for r in results] == ["failed", "complete"]
+        assert "metadata" in results[0]["error"]
+        assert registry.incomplete_runs() == []
+
+    def test_stored_resume_engine_fails_cleanly(self, registry):
+        # 'resume' was a valid peel engine once; its stored runs must
+        # end failed, not crash every later daemon start.
+        self.config_only_run(registry, "old", engine="resume")
+        (result,) = registry.resume_incomplete()
+        assert result["state"] == "failed"
+        assert "valid engines" in result["error"]
+        assert registry.execute("old", {})["state"] == "failed"
 
     def test_incomplete_runs_listed(self, registry):
         registry.execute("done", PARAMS)

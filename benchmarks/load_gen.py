@@ -3,8 +3,10 @@
 Drives a multi-tenant schedule workload at a configured *arrival* rate
 (open loop: arrivals do not wait for completions, so overload shows up
 as queueing/shedding instead of a conveniently slowed-down client),
-measures sustained schedules/sec and shed rate, and can optionally
-SIGKILL the daemon mid-load to exercise reconnect + crash-resume.
+measures sustained schedules/sec, shed rate and the latency tail
+(p50/p95/p99/max over the answered requests, with the sample count),
+and can optionally SIGKILL the daemon mid-load to exercise reconnect +
+crash-resume.
 
 Typical invocations::
 
@@ -234,6 +236,14 @@ def worker(
         client.close()
 
 
+def percentile(ascending: list[float], q: float) -> float | None:
+    """The sample at rank ``int(q * n)`` of an ascending list (``None``
+    when empty); at ``q = 0.5`` this is the upper median."""
+    if not ascending:
+        return None
+    return ascending[min(len(ascending) - 1, int(q * len(ascending)))]
+
+
 def run_load(args: argparse.Namespace) -> dict:
     daemon: DaemonHandle | None = None
     address = args.address
@@ -343,7 +353,10 @@ def run_load(args: argparse.Namespace) -> dict:
             stats.shed / (answered + stats.shed)
             if answered + stats.shed > 0 else 0.0
         ),
-        "latency_p50_s": latencies[len(latencies) // 2] if latencies else None,
+        "latency_samples": len(latencies),
+        "latency_p50_s": percentile(latencies, 0.50),
+        "latency_p95_s": percentile(latencies, 0.95),
+        "latency_p99_s": percentile(latencies, 0.99),
         "latency_max_s": latencies[-1] if latencies else None,
         "by_tenant": dict(sorted(stats.by_tenant.items())),
         "failures": stats.failures,

@@ -34,8 +34,11 @@ from repro.util.errors import ConfigError
 
 CacheableAlgorithm = Literal["ggp", "oggp", "wrgp", "greedy"]
 
-# (duration, ((canonical_pos, left, right, amount), ...)) per step.
-_StepData = tuple[float, tuple[tuple[int, int, int, float], ...]]
+# (duration, canonical positions, lefts, rights, amounts) per step: one
+# column per Transfer field, so a hit rebuilds each step with one map().
+_StepData = tuple[
+    float, tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[float, ...]
+]
 
 
 def _canonical(graph: BipartiteGraph) -> tuple[tuple, list[int]]:
@@ -46,8 +49,11 @@ def _canonical(graph: BipartiteGraph) -> tuple[tuple, list[int]]:
     tie-break), so graphs with equal signatures agree position-by-
     position on which edge each canonical slot denotes.
     """
+    # ``_value_`` is ``kind.value`` without the enum property's per-access
+    # cost, which was half of this function's time on a 540-edge graph.
     entries = sorted(
-        (e.left, e.right, e.weight, e.kind.value, e.id) for e in graph.edges()
+        (left, right, weight, kind._value_, eid)
+        for eid, left, right, weight, kind in graph.iter_edge_data()
     )
     signature = tuple((left, right, weight, kind) for left, right, weight, kind, _ in entries)
     ids = [entry[4] for entry in entries]
@@ -62,6 +68,22 @@ def canonical_signature(graph: BipartiteGraph) -> tuple:
     a batch by this key so each pattern is scheduled once.
     """
     return _canonical(graph)[0]
+
+
+def cache_tag(algorithm: str, engine: str) -> str:
+    """The algorithm slot of a cache key: one tag per code path.
+
+    ``'vector'`` runs the same code as ``'fast'`` and ``'greedy'``
+    ignores the engine, so those requests share entries; every other
+    engine keeps its own (``'approx'`` may legitimately produce a
+    different schedule, and ``'reference'`` is the oracle the exact
+    engines are checked against).
+    """
+    if algorithm == "greedy":
+        return algorithm
+    if engine == "vector":
+        engine = "fast"
+    return f"{algorithm}/{engine}"
 
 
 class ScheduleCache:
@@ -84,9 +106,9 @@ class ScheduleCache:
         if maxsize < 1:
             raise ConfigError(f"cache maxsize must be >= 1, got {maxsize}")
         self.maxsize = int(maxsize)
-        # key -> (canonical edge ids, schedule k, schedule beta, step data)
+        # key -> (schedule k, schedule beta, step data)
         self._entries: OrderedDict[
-            Hashable, tuple[list[int], int, float, tuple[_StepData, ...]]
+            Hashable, tuple[int, float, tuple[_StepData, ...]]
         ]
         self._entries = OrderedDict()
         self._hits = 0
@@ -139,16 +161,14 @@ class ScheduleCache:
             metrics.counter("schedule_cache.misses").inc()
             return None
         metrics.counter("schedule_cache.hits").inc()
-        _stored_ids, sched_k, sched_beta, steps_data = entry
+        sched_k, sched_beta, steps_data = entry
+        edge_id_at = ids.__getitem__
         steps = [
             Step(
-                (
-                    Transfer(ids[pos], left, right, amount)
-                    for pos, left, right, amount in transfers
-                ),
+                map(Transfer, map(edge_id_at, positions), lefts, rights, amounts),
                 duration=duration,
             )
-            for duration, transfers in steps_data
+            for duration, positions, lefts, rights, amounts in steps_data
         ]
         # The schedule's own k/beta are stored, not the lookup arguments:
         # wrgp derives k from the graph rather than taking it as input.
@@ -165,20 +185,19 @@ class ScheduleCache:
         """Store ``schedule`` for ``graph``; detached from the argument."""
         signature, ids = _canonical(graph)
         key = (algorithm, int(k), float(beta), signature)
-        pos_of = {eid: pos for pos, eid in enumerate(ids)}
-        steps_data = tuple(
-            (
-                step.duration,
-                tuple(
-                    (pos_of[t.edge_id], t.left, t.right, t.amount)
-                    for t in step.transfers
-                ),
+        position = {eid: pos for pos, eid in enumerate(ids)}.__getitem__
+        steps_data = []
+        for step in schedule.steps:
+            edge_ids, lefts, rights, amounts = (
+                tuple(zip(*step.transfers)) or ((), (), (), ())
             )
-            for step in schedule.steps
-        )
+            steps_data.append((
+                step.duration, tuple(map(position, edge_ids)),
+                lefts, rights, amounts,
+            ))
         evicted = 0
         with self._lock:
-            self._entries[key] = (ids, schedule.k, schedule.beta, steps_data)
+            self._entries[key] = (schedule.k, schedule.beta, tuple(steps_data))
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
@@ -206,9 +225,8 @@ def cached_schedule(
     :func:`~repro.core.oggp.oggp`, :func:`~repro.core.wrgp.wrgp` or
     :func:`~repro.core.baselines.greedy_schedule` (which ignores
     ``engine``); ``engine`` is forwarded to the peeling loop and
-    participates in the cache key (the ``'approx'`` engine may
-    legitimately produce a different — still valid — schedule than the
-    exact engines).  Pass ``cache=None`` to bypass caching entirely.
+    participates in the cache key through :func:`cache_tag`.  Pass
+    ``cache=None`` to bypass caching entirely.
     """
     # Imported here: ggp/oggp/wrgp live above this module in the package
     # graph, and importing them lazily keeps cache importable from both.
@@ -219,7 +237,7 @@ def cached_schedule(
 
     if algorithm not in ("ggp", "oggp", "wrgp", "greedy"):
         raise ConfigError(f"unknown algorithm {algorithm!r}")
-    tag = f"{algorithm}/{engine}"
+    tag = cache_tag(algorithm, engine)
     if cache is not None:
         hit = cache.get(graph, k, beta, tag)
         if hit is not None:

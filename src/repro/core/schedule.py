@@ -16,20 +16,19 @@ weight ("the union of the matchings is G").
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.graph.bipartite import BipartiteGraph
 from repro.util.errors import ScheduleError
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(NamedTuple):
     """One chunk of one message inside a step.
 
     ``edge_id`` identifies the original message; ``amount`` is the chunk
     size in time units (at communication speed ``t`` data and time are
-    interchangeable, paper §2.2).
+    interchangeable, paper §2.2).  A named tuple: immutable, hashable,
+    and equal to the plain tuple ``(edge_id, left, right, amount)``.
     """
 
     edge_id: int
@@ -61,7 +60,8 @@ class Step:
     """One synchronous communication step: a matching of transfers.
 
     The constructor enforces the 1-port constraint (no sender or
-    receiver appears twice).  ``duration`` defaults to the longest
+    receiver appears twice) and reads each transfer as the 4-tuple
+    :class:`Transfer` is.  ``duration`` defaults to the longest
     transfer — the paper's :math:`W(M_i)` — but may be given explicitly
     (e.g. normalised durations that exceed the physically shipped
     amounts after round-up).
@@ -75,18 +75,27 @@ class Step:
         duration: float | None = None,
     ) -> None:
         tlist = tuple(transfers)
-        lefts = [t.left for t in tlist]
-        rights = [t.right for t in tlist]
-        if len(set(lefts)) != len(lefts):
-            raise ScheduleError(f"step violates 1-port at senders: {sorted(lefts)}")
-        if len(set(rights)) != len(rights):
-            raise ScheduleError(f"step violates 1-port at receivers: {sorted(rights)}")
-        for t in tlist:
-            if t.amount <= 0:
+        max_amount = 0.0
+        if tlist:
+            _, lefts, rights, amounts = zip(*tlist)
+            if len(set(lefts)) != len(tlist):
                 raise ScheduleError(
-                    f"transfer on edge {t.edge_id} has non-positive amount {t.amount!r}"
+                    f"step violates 1-port at senders: {sorted(lefts)}"
                 )
-        max_amount = max((t.amount for t in tlist), default=0.0)
+            if len(set(rights)) != len(tlist):
+                raise ScheduleError(
+                    f"step violates 1-port at receivers: {sorted(rights)}"
+                )
+            max_amount = max(amounts)
+            # min() > 0 proves every amount positive; a NaN can hide a
+            # bad amount from min(), so anything else re-checks in order.
+            if not min(amounts) > 0:
+                for t in tlist:
+                    if t.amount <= 0:
+                        raise ScheduleError(
+                            f"transfer on edge {t.edge_id} has non-positive "
+                            f"amount {t.amount!r}"
+                        )
         if duration is None:
             duration = max_amount
         elif duration < max_amount - 1e-12 * max(1.0, max_amount):

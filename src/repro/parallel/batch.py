@@ -38,6 +38,7 @@ from repro import obs
 from repro.core.cache import (
     DEFAULT_SCHEDULE_CACHE,
     ScheduleCache,
+    cache_tag,
     cached_schedule,
     canonical_signature,
 )
@@ -249,6 +250,7 @@ def schedule_batch(
         # Single pass in submission order, mirroring the serial cached loop:
         # a graph either hits the parent cache, opens a new canonical group
         # (becoming its representative), or joins an existing group.
+        tag = cache_tag(algorithm, engine)
         results: list[Schedule | None] = [None] * n
         rep_indices: list[int] = []  # representative graph index per group
         group_of: dict[tuple, int] = {}  # canonical signature -> group number
@@ -260,7 +262,7 @@ def schedule_batch(
                 if group is not None:
                     members[group].append(i)
                     continue
-                hit = cache.get(graph, k, beta, f"{algorithm}/{engine}")
+                hit = cache.get(graph, k, beta, tag)
                 if hit is not None:
                     results[i] = hit
                     continue
@@ -308,12 +310,8 @@ def schedule_batch(
             schedule = _schedule_from_data(data)
             results[rep_index] = schedule
             if cache is not None:
-                cache.put(
-                    graphs[rep_index], k, beta, f"{algorithm}/{engine}", schedule
-                )
+                cache.put(graphs[rep_index], k, beta, tag, schedule)
                 for member in members[group]:
-                    results[member] = cache.get(
-                        graphs[member], k, beta, f"{algorithm}/{engine}"
-                    )
+                    results[member] = cache.get(graphs[member], k, beta, tag)
         assert all(s is not None for s in results)
         return results  # type: ignore[return-value]

@@ -66,6 +66,10 @@ _FRAME_TYPES = (FRAME_REQUEST, FRAME_RESPONSE, FRAME_ERROR)
 #: json length u32 | blob length u32
 _HEADER = struct.Struct("<4sBBxxIII")
 _CRC_OFFSET = 8
+_ZERO_CRC = bytes(4)
+
+#: Compact separators; keys keep the order the document was built in.
+_JSON = json.JSONEncoder(separators=(",", ":"))
 
 #: Upper bound on json + blob bytes per frame.  Large enough for a
 #: KPBW-encoded graph with tens of thousands of edges, small enough
@@ -78,20 +82,22 @@ class ProtocolError(ReproError):
 
 
 def encode_frame(frame_type: int, doc: dict, blob: bytes = b"") -> bytes:
-    """Serialize one KPBR frame (header + JSON document + blob)."""
+    """Serialize one KPBR frame (header + JSON document + blob).
+
+    The document's keys go out in its own order: every document the
+    daemon and the client send is built in a fixed key order.
+    """
     if frame_type not in _FRAME_TYPES:
         raise ProtocolError(f"unknown KPBR frame type {frame_type}")
-    json_bytes = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    packed = bytearray(
+    json_bytes = _JSON.encode(doc).encode()
+    header = bytearray(
         _HEADER.pack(
             KPBR_MAGIC, KPBR_VERSION, frame_type, 0, len(json_bytes), len(blob)
         )
     )
-    packed += json_bytes
-    packed += blob
-    crc = zlib.crc32(bytes(packed)) & 0xFFFFFFFF
-    struct.pack_into("<I", packed, _CRC_OFFSET, crc)
-    return bytes(packed)
+    crc = zlib.crc32(blob, zlib.crc32(json_bytes, zlib.crc32(header)))
+    struct.pack_into("<I", header, _CRC_OFFSET, crc)
+    return b"".join((header, json_bytes, blob))
 
 
 def _parse_header(
@@ -119,16 +125,20 @@ def _parse_header(
 def _verify_and_decode(
     header: bytes, payload: bytes, frame_type: int, crc: int, json_len: int
 ) -> tuple[int, dict, bytes]:
-    zeroed = bytearray(header)
-    struct.pack_into("<I", zeroed, _CRC_OFFSET, 0)
-    actual = zlib.crc32(bytes(zeroed) + payload) & 0xFFFFFFFF
+    # The CRC runs over the header (checksum field zeroed) and then the
+    # payload in place, and the JSON is decoded from a view of it: the
+    # payload is never copied whole.
+    actual = zlib.crc32(header[:_CRC_OFFSET])
+    actual = zlib.crc32(_ZERO_CRC, actual)
+    actual = zlib.crc32(header[_CRC_OFFSET + len(_ZERO_CRC) :], actual)
+    actual = zlib.crc32(payload, actual)
     if actual != crc:
         raise ProtocolError(
             f"KPBR frame CRC mismatch (stored {crc:#010x}, computed "
             f"{actual:#010x})"
         )
     try:
-        doc = json.loads(payload[:json_len].decode())
+        doc = json.loads(str(memoryview(payload)[:json_len], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"KPBR frame carries invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -149,7 +159,7 @@ def decode_frame(
         )
     header = data[: _HEADER.size]
     frame_type, crc, json_len, blob_len = _parse_header(header, max_payload)
-    payload = data[_HEADER.size :]
+    payload = memoryview(data)[_HEADER.size :]
     if len(payload) != json_len + blob_len:
         raise ProtocolError(
             f"KPBR frame payload truncated: have {len(payload)} bytes, "

@@ -82,6 +82,34 @@ class TestCanonicalKey:
         assert cache.stats()["hits"] == 0
         assert cache.stats()["misses"] == 5
 
+    def test_engines_of_one_code_path_share_an_entry(self):
+        g = BipartiteGraph.from_edges([(0, 0, 4), (0, 1, 2), (1, 1, 3), (1, 0, 5)])
+        for algorithm, first, second in (
+            ("oggp", "fast", "vector"),
+            ("ggp", "vector", "fast"),
+            ("greedy", "fast", "approx"),
+        ):
+            cache = ScheduleCache()
+            computed = cached_schedule(
+                g, k=2, beta=1.0, algorithm=algorithm, engine=first, cache=cache
+            )
+            hit = cached_schedule(
+                g, k=2, beta=1.0, algorithm=algorithm, engine=second, cache=cache
+            )
+            assert cache.stats() == {
+                "hits": 1, "misses": 1, "evictions": 0, "size": 1,
+            }, algorithm
+            assert hit.to_dict() == computed.to_dict()
+
+    @pytest.mark.parametrize("other", ["approx", "reference"])
+    def test_other_engines_keep_their_own_entry(self, other):
+        g = BipartiteGraph.from_edges([(0, 0, 4), (0, 1, 2), (1, 1, 3), (1, 0, 5)])
+        cache = ScheduleCache()
+        cached_schedule(g, k=2, beta=1.0, engine="fast", cache=cache)
+        cached_schedule(g, k=2, beta=1.0, engine=other, cache=cache)
+        assert cache.stats()["misses"] == 2
+        assert cache.stats()["size"] == 2
+
     def test_wrgp_keeps_its_derived_k(self):
         from repro.graph.generators import random_weight_regular
 

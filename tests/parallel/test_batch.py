@@ -71,6 +71,20 @@ class TestBitIdentical:
         assert serial_cache.stats()["hits"] == batch_cache.stats()["hits"]
         assert serial_cache.stats()["misses"] == batch_cache.stats()["misses"]
 
+    def test_fast_then_vector_batches_share_an_entry(self):
+        g = BipartiteGraph.from_edges([(0, 0, 4), (0, 1, 2), (1, 1, 3), (1, 0, 5)])
+        cache = ScheduleCache()
+        (fast,) = schedule_batch(
+            [g], "oggp", k=2, beta=1.0, engine="fast", jobs=2,
+            cache=cache, min_parallel_items=0,
+        )
+        (vector,) = schedule_batch(
+            [g], "oggp", k=2, beta=1.0, engine="vector", jobs=2,
+            cache=cache, min_parallel_items=0,
+        )
+        assert cache.stats() == {"hits": 1, "misses": 1, "evictions": 0, "size": 1}
+        assert flat(vector) == flat(fast)
+
     def test_uncached_batch_equals_plain_loop(self):
         graphs = [
             BipartiteGraph.from_edges([(0, 0, 4), (0, 1, 2), (1, 1, 3)]),

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -168,32 +169,93 @@ class BipartiteGraph:
             self._right_kind[node] = kind
             self._right_weight[node] = 0
 
-    def _install_edge(
-        self,
-        edge_id: int,
-        left: int,
-        right: int,
-        weight: Number,
-        kind: EdgeKind,
-    ) -> None:
-        """Write an edge into the arrays and aggregates (endpoints must exist)."""
-        store = self._eleft
-        if edge_id >= len(store):
-            pad = edge_id + 1 - len(store)
-            store.extend([0] * pad)
-            self._eright.extend([0] * pad)
-            self._eweight.extend([0] * pad)
-            self._ekind.extend([EdgeKind.ORIGINAL] * pad)
-        self._eleft[edge_id] = left
-        self._eright[edge_id] = right
-        self._eweight[edge_id] = weight
-        self._ekind[edge_id] = kind
-        self._live[edge_id] = None
-        self._left_adj[left].add(edge_id)
-        self._right_adj[right].add(edge_id)
-        self._left_weight[left] += weight
-        self._right_weight[right] += weight
-        self._total_weight += weight
+    @classmethod
+    def _from_columns(
+        cls,
+        left_kinds: dict[int, NodeKind],
+        right_kinds: dict[int, NodeKind],
+        ids: list[int],
+        lefts: list[int],
+        rights: list[int],
+        weights: list[Number],
+        kinds: list[EdgeKind],
+        next_edge_id: int,
+    ) -> "BipartiteGraph":
+        """Bulk constructor from edge columns, with no per-edge call.
+
+        Used by :meth:`from_dict`, :meth:`map_weights` and the KPBW
+        decoder.  Builds the graph that adding the nodes of
+        ``left_kinds`` and ``right_kinds`` (id -> kind, in order) and then
+        each edge of the columns, in ``ids`` order, would build: same
+        ``_live`` order, adjacency, padded slots and sums.  Callers check
+        that weights are positive.  The ids are checked here (unique,
+        non-negative, below ``next_edge_id``) before any slot is
+        allocated, and an endpoint missing from the node maps raises
+        :class:`GraphError`.  The node maps and columns are adopted, not
+        copied.
+        """
+        live: dict[int, Edge | None] = dict.fromkeys(ids)
+        size = len(ids)
+        in_slot_order = ids == list(range(size))
+        if not in_slot_order:
+            if len(live) != size:
+                ((duplicate, _),) = Counter(ids).most_common(1)
+                raise GraphError(f"duplicate edge id {duplicate}")
+            if min(ids) < 0:
+                raise GraphError(f"edge id {min(ids)} is negative")
+            size = max(ids) + 1
+        if next_edge_id < size:
+            raise GraphError(
+                f"next_edge_id {next_edge_id} does not clear the highest "
+                f"edge id {size - 1}"
+            )
+        left_adj: dict[int, set[int]] = {node: set() for node in left_kinds}
+        right_adj: dict[int, set[int]] = {node: set() for node in right_kinds}
+        left_weight: dict[int, Number] = dict.fromkeys(left_kinds, 0)
+        right_weight: dict[int, Number] = dict.fromkeys(right_kinds, 0)
+        total: Number = 0
+        try:
+            for edge_id, left, right, weight in zip(ids, lefts, rights, weights):
+                left_adj[left].add(edge_id)
+                right_adj[right].add(edge_id)
+                left_weight[left] += weight
+                right_weight[right] += weight
+                total += weight
+        except KeyError:
+            side, node = ("left", left) if left not in left_adj else ("right", right)
+            raise GraphError(
+                f"graph is inconsistent: edge {edge_id} names missing "
+                f"{side} node {node}"
+            ) from None
+        if in_slot_order:
+            eleft, eright, eweight, ekind = lefts, rights, weights, kinds
+        else:
+            eleft = [0] * size
+            eright = [0] * size
+            eweight: list[Number] = [0] * size
+            ekind = [EdgeKind.ORIGINAL] * size
+            for edge_id, left, right, weight, kind in zip(
+                ids, lefts, rights, weights, kinds
+            ):
+                eleft[edge_id] = left
+                eright[edge_id] = right
+                eweight[edge_id] = weight
+                ekind[edge_id] = kind
+        g = cls()
+        g._live = live
+        g._eleft = eleft
+        g._eright = eright
+        g._eweight = eweight
+        g._ekind = ekind
+        g._left_adj = left_adj
+        g._right_adj = right_adj
+        g._left_kind = left_kinds
+        g._right_kind = right_kinds
+        g._left_weight = left_weight
+        g._right_weight = right_weight
+        g._total_weight = total
+        g._next_edge_id = next_edge_id
+        return g
 
     def add_edge(
         self,
@@ -217,7 +279,23 @@ class BipartiteGraph:
         self.add_right_node(right, right_kind)
         edge_id = self._next_edge_id
         self._next_edge_id += 1
-        self._install_edge(edge_id, left, right, weight, kind)
+        store = self._eleft
+        if edge_id >= len(store):
+            pad = edge_id + 1 - len(store)
+            store.extend([0] * pad)
+            self._eright.extend([0] * pad)
+            self._eweight.extend([0] * pad)
+            self._ekind.extend([EdgeKind.ORIGINAL] * pad)
+        self._eleft[edge_id] = left
+        self._eright[edge_id] = right
+        self._eweight[edge_id] = weight
+        self._ekind[edge_id] = kind
+        self._live[edge_id] = None
+        self._left_adj[left].add(edge_id)
+        self._right_adj[right].add(edge_id)
+        self._left_weight[left] += weight
+        self._right_weight[right] += weight
+        self._total_weight += weight
         return self.edge(edge_id)
 
     def remove_edge(self, edge_id: int) -> Edge:
@@ -494,26 +572,25 @@ class BipartiteGraph:
         Node ids, edge ids and kinds are preserved.  Used by the β
         normalisation step.
         """
-        g = BipartiteGraph()
-        for node in self._left_adj:
-            g.add_left_node(node, self._left_kind[node])
-        for node in self._right_adj:
-            g.add_right_node(node, self._right_kind[node])
-        for edge_id in sorted(self._live):
+        ids = sorted(self._live)
+        weights = []
+        for edge_id in ids:
             new_weight = fn(self._eweight[edge_id])
             if new_weight <= 0:
                 raise GraphError(
                     f"map_weights produced non-positive weight {new_weight!r}"
                 )
-            g._install_edge(
-                edge_id,
-                self._eleft[edge_id],
-                self._eright[edge_id],
-                new_weight,
-                self._ekind[edge_id],
-            )
-        g._next_edge_id = self._next_edge_id
-        return g
+            weights.append(new_weight)
+        return BipartiteGraph._from_columns(
+            {node: self._left_kind[node] for node in self._left_adj},
+            {node: self._right_kind[node] for node in self._right_adj},
+            ids,
+            [self._eleft[i] for i in ids],
+            [self._eright[i] for i in ids],
+            weights,
+            [self._ekind[i] for i in ids],
+            self._next_edge_id,
+        )
 
     # ------------------------------------------------------------------
     # Serialisation
@@ -543,29 +620,39 @@ class BipartiteGraph:
     @classmethod
     def from_dict(cls, data: Mapping) -> "BipartiteGraph":
         """Inverse of :meth:`to_dict`."""
-        g = cls()
+        left_kinds: dict[int, NodeKind] = {}
+        right_kinds: dict[int, NodeKind] = {}
         for node in data.get("left_nodes", []):
-            g.add_left_node(int(node["id"]), NodeKind(node.get("kind", "original")))
+            left_kinds.setdefault(
+                int(node["id"]), NodeKind(node.get("kind", "original"))
+            )
         for node in data.get("right_nodes", []):
-            g.add_right_node(int(node["id"]), NodeKind(node.get("kind", "original")))
-        max_id = -1
+            right_kinds.setdefault(
+                int(node["id"]), NodeKind(node.get("kind", "original"))
+            )
+        ids: list[int] = []
+        lefts: list[int] = []
+        rights: list[int] = []
+        weights: list[Number] = []
+        kinds: list[EdgeKind] = []
         for item in data["edges"]:
             edge_id = int(item["id"])
             weight = item["weight"]
             if weight <= 0:
                 raise GraphError(f"edge {edge_id} has non-positive weight")
-            if edge_id in g._live:
-                raise GraphError(f"duplicate edge id {edge_id}")
             left = int(item["left"])
             right = int(item["right"])
-            g.add_left_node(left)
-            g.add_right_node(right)
-            g._install_edge(
-                edge_id, left, right, weight, EdgeKind(item.get("kind", "original"))
-            )
-            max_id = max(max_id, edge_id)
-        g._next_edge_id = max_id + 1
-        return g
+            left_kinds.setdefault(left, NodeKind.ORIGINAL)
+            right_kinds.setdefault(right, NodeKind.ORIGINAL)
+            ids.append(edge_id)
+            lefts.append(left)
+            rights.append(right)
+            weights.append(weight)
+            kinds.append(EdgeKind(item.get("kind", "original")))
+        return cls._from_columns(
+            left_kinds, right_kinds, ids, lefts, rights, weights, kinds,
+            max(ids, default=-1) + 1,
+        )
 
     def to_json(self) -> str:
         """Serialise to a JSON string."""

@@ -38,6 +38,7 @@ import contextlib
 import functools
 import os
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,6 +70,17 @@ __all__ = ["ServeConfig", "ScheduleServer", "BackgroundServer"]
 
 #: Ops a request document may name.
 _OPS = ("ping", "status", "schedule", "transfer", "run_status")
+
+
+def _internal_error(where: str, exc: Exception) -> dict:
+    """Count and log an unexpected failure; returns the error to answer."""
+    detail = f"{type(exc).__name__}: {exc}"
+    obs.metrics().counter("serve.internal_errors").inc()
+    obs.emit(
+        "server.error", where=where, error=detail,
+        traceback="".join(traceback.format_exception(exc)),
+    )
+    return error_response("INTERNAL", detail)
 
 
 @dataclass
@@ -416,15 +428,7 @@ class ScheduleServer:
         except (ConfigError, ProtocolError, ReproError) as exc:
             return error_response("BAD_REQUEST", str(exc))
         except Exception as exc:  # the daemon must answer, never die
-            metrics.counter("serve.internal_errors").inc()
-            obs.emit(
-                "server.error",
-                where=f"op:{op}",
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            return error_response(
-                "INTERNAL", f"{type(exc).__name__}: {exc}"
-            )
+            return _internal_error(f"op:{op}", exc)
         finally:
             metrics.histogram("serve.request.seconds", max_samples=4096).observe(
                 time.monotonic() - started
@@ -586,7 +590,7 @@ class ScheduleServer:
         try:
             k = int(doc.get("k", 1))
             beta = float(doc.get("beta", 0.0))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad k/beta: {exc}") from exc
         if k < 1:
             raise ConfigError(f"k must be >= 1, got {k}")
@@ -623,6 +627,9 @@ class ScheduleServer:
             except (ConfigError, ProtocolError, ReproError) as exc:
                 self._resolve(item, error_response("BAD_REQUEST", str(exc)))
                 continue
+            except Exception as exc:  # must not strand the rest of the batch
+                self._resolve(item, _internal_error("schedule_parse", exc))
+                continue
             algorithm, engine, degraded = self.ladder.apply(algorithm, engine)
             groups.setdefault((algorithm, engine, k, beta), []).append(
                 (item, graph, degraded)
@@ -646,18 +653,9 @@ class ScheduleServer:
                         )
                     continue
                 except Exception as exc:
-                    metrics.counter("serve.internal_errors").inc()
-                    obs.emit(
-                        "server.error", where="schedule_batch",
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
+                    error = _internal_error("schedule_batch", exc)
                     for item, _, _ in entries:
-                        self._resolve(
-                            item,
-                            error_response(
-                                "INTERNAL", f"{type(exc).__name__}: {exc}"
-                            ),
-                        )
+                        self._resolve(item, error)
                     continue
                 for (item, _, degraded), sched, bound in zip(
                     entries, schedules, bounds
@@ -727,17 +725,7 @@ class ScheduleServer:
                 self._resolve(item, error_response("BAD_REQUEST", str(exc)))
                 return
             except Exception as exc:
-                metrics.counter("serve.internal_errors").inc()
-                obs.emit(
-                    "server.error", where="transfer",
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                self._resolve(
-                    item,
-                    error_response(
-                        "INTERNAL", f"{type(exc).__name__}: {exc}"
-                    ),
-                )
+                self._resolve(item, _internal_error("transfer", exc))
                 return
             metrics.counter("serve.transfers_total").inc()
             self._resolve(item, ok_response(op="transfer", **result))

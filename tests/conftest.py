@@ -8,6 +8,27 @@ from hypothesis import strategies as st
 from repro.graph.bipartite import BipartiteGraph
 
 
+def raw_state(g: BipartiteGraph) -> dict:
+    """Every slot of ``g`` as stored, with the type of every number.
+
+    Lists and adjacency sets keep their order (live-id order, padded
+    slots, set iteration order); node maps are compared by key, since a
+    graph lists its nodes in order of first use.  The ``Edge`` views
+    cached in ``_live`` are dropped.  A slot added to the class is
+    compared without touching this helper.
+    """
+    def typed(value):
+        if isinstance(value, dict):
+            return sorted((key, typed(item)) for key, item in value.items())
+        if isinstance(value, (list, set)):
+            return [typed(item) for item in value]
+        return (value, type(value))
+
+    state = {slot: getattr(g, slot) for slot in BipartiteGraph.__slots__}
+    state["_live"] = list(state["_live"])
+    return {slot: typed(value) for slot, value in state.items()}
+
+
 # ---------------------------------------------------------------------------
 # Hypothesis strategies
 # ---------------------------------------------------------------------------

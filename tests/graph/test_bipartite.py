@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.graph.bipartite import BipartiteGraph, Edge, EdgeKind, NodeKind
 from repro.util.errors import GraphError
-from tests.conftest import bipartite_graphs
+from tests.conftest import bipartite_graphs, raw_state
 
 
 class TestConstruction:
@@ -190,6 +190,30 @@ class TestSerialization:
         with pytest.raises(GraphError):
             BipartiteGraph.from_dict(data)
 
+    @pytest.mark.parametrize("ids", [[-1], [0, -1]])
+    def test_negative_edge_id_rejected(self, ids):
+        data = {
+            "edges": [
+                {"id": i, "left": n, "right": n, "weight": 1}
+                for n, i in enumerate(ids)
+            ]
+        }
+        with pytest.raises(GraphError, match="edge id -1 is negative"):
+            BipartiteGraph.from_dict(data)
+
+    def test_edges_keep_their_listed_order(self):
+        data = {
+            "edges": [
+                {"id": 2, "left": 0, "right": 0, "weight": 1},
+                {"id": 0, "left": 1, "right": 1, "weight": 2},
+            ]
+        }
+        g = BipartiteGraph.from_dict(data)
+        g.validate()
+        assert list(g._live) == [2, 0]
+        assert (g.edge(2).weight, g.edge(0).weight) == (1, 2)
+        assert g._next_edge_id == 3
+
     def test_new_edges_after_deserialization_get_fresh_ids(self, small_graph):
         restored = BipartiteGraph.from_json(small_graph.to_json())
         new = restored.add_edge(0, 0, 1)
@@ -257,4 +281,11 @@ class TestProperties:
     @given(bipartite_graphs())
     @settings(max_examples=40)
     def test_serialization_roundtrip(self, g):
-        assert BipartiteGraph.from_json(g.to_json()) == g
+        restored = BipartiteGraph.from_json(g.to_json())
+        assert restored == g
+        assert raw_state(restored) == raw_state(g)
+
+    @given(bipartite_graphs())
+    @settings(max_examples=40)
+    def test_identity_map_weights_keeps_the_stored_state(self, g):
+        assert raw_state(g.map_weights(lambda w: w)) == raw_state(g)

@@ -1,5 +1,6 @@
 """In-process daemon tests: scheduling, robustness, degradation."""
 
+import asyncio
 import socket
 import threading
 import time
@@ -16,6 +17,7 @@ from repro.serve import (
     ServeConfig,
     ServeError,
 )
+from repro.serve.admission import QueueItem
 from repro.serve.protocol import FRAME_ERROR, decode_frame, encode_frame
 
 MATRIX = [[4.0, 1.0], [2.0, 3.0]]
@@ -140,6 +142,44 @@ class TestRobustness:
         s.sendall(frame[: len(frame) // 2])
         s.close()  # vanish mid-frame
         assert client.ping()["status"] == "ok"
+
+    def test_bad_item_answers_without_stranding_its_batch(self, server):
+        # One micro-batch holding a good request, one whose k overflows
+        # int(), and one that trips an unexpected parser error: each gets
+        # its own answer, none is left waiting for its deadline.
+        daemon = server.server
+        parse = daemon._parse_schedule_request
+
+        def flaky(doc, blob):
+            if doc.get("k") == 3:
+                raise RuntimeError("parser bug")
+            return parse(doc, blob)
+
+        async def one_batch(docs):
+            loop = asyncio.get_running_loop()
+            items = [
+                QueueItem("t", "schedule", doc, b"", loop.create_future(),
+                          loop.time())
+                for doc in docs
+            ]
+            daemon._parse_schedule_request = flaky
+            try:
+                await daemon._run_schedule_batch(items)
+            finally:
+                del daemon._parse_schedule_request
+            return [item.future.result() for item in items]
+
+        good, overflow, bug = asyncio.run_coroutine_threadsafe(
+            one_batch([
+                {"matrix": MATRIX, "k": 2},
+                {"matrix": MATRIX, "k": float("inf")},
+                {"matrix": MATRIX, "k": 3},
+            ]),
+            daemon._loop,
+        ).result(60)
+        assert good["status"] == "ok"
+        assert (overflow["code"], bug["code"]) == ("BAD_REQUEST", "INTERNAL")
+        assert "parser bug" in bug["detail"]
 
     def test_deadline_expired_is_prompt_and_structured(self, client):
         big = np.random.default_rng(3).uniform(1, 9, (40, 40)).tolist()

@@ -53,6 +53,20 @@ ALGORITHMS = {
 #: stress the exact peeling engine, 200+ the approximate one.
 DEFAULT_SIZES = (5, 10, 20, 50, 100, 200, 500, 1000)
 
+#: Work counters summed over a row's timed runs: column -> registry
+#: counter.  With ``steps`` and ``transfers`` (read off the schedules)
+#: they form :data:`COUNTER_COLUMNS`, the exact half of a row — the same
+#: on every host and every run, so CI compares them for equality.
+COUNTERS = {
+    "wrgp_peels": "wrgp.peels",
+    "bottleneck_threshold_probes": "matching.bottleneck.threshold_probes",
+    "bottleneck_skipped_probes": "matching.bottleneck.skipped_probes",
+    "hk_bfs_phases": "matching.hk.bfs_phases",
+    "hk_augmenting_paths": "matching.hk.augmenting_paths",
+    "hungarian_calls": "matching.hungarian.calls",
+}
+COUNTER_COLUMNS = (*COUNTERS, "steps", "transfers")
+
 
 def engines_for(name: str, size: int) -> list[str]:
     """Which engines to benchmark for one ``(algorithm, size)`` cell.
@@ -122,16 +136,19 @@ def snapshot_rows(
             with obs.observed() as (registry, _tracer):
                 timer = registry.timer(f"bench.{name}")
                 ratios = registry.histogram(f"bench.{name}.evaluation_ratio")
+                steps = transfers = 0
                 for graph, bound in zip(instances, bounds):
                     with timer:
                         schedule = algorithm(graph, k_eff, beta, run_engine)
                     ratios.observe(evaluation_ratio(schedule.cost, bound))
+                    steps += schedule.num_steps
+                    transfers += sum(len(step) for step in schedule.steps)
                 # Work counters for the timed runs, read before the cache
                 # exercise below re-runs the algorithm and inflates them.
-                peels = registry.counter("wrgp.peels").value
-                probes = registry.counter(
-                    "matching.bottleneck.threshold_probes"
-                ).value
+                work = {
+                    column: registry.counter(counter).value
+                    for column, counter in COUNTERS.items()
+                }
                 cache_hits = cache_misses = 0
                 if name in ("ggp", "oggp") and size <= 200:
                     # Exercise the schedule cache on one instance: the
@@ -158,8 +175,9 @@ def snapshot_rows(
                 "wall_time_max_s": timing["max"],
                 "evaluation_ratio_mean": quality["mean"],
                 "evaluation_ratio_max": quality["max"],
-                "wrgp_peels": peels,
-                "bottleneck_threshold_probes": probes,
+                **work,
+                "steps": steps,
+                "transfers": transfers,
                 "schedule_cache_hits": cache_hits,
                 "schedule_cache_misses": cache_misses,
             }

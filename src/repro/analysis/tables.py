@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
 from pathlib import Path
 from typing import Sequence
 
@@ -64,12 +63,3 @@ def write_csv(
         writer = csv.writer(fh)
         writer.writerow(headers)
         writer.writerows(rows)
-
-
-def csv_string(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    """CSV text in memory (used by tests and the CLI's ``--csv -``)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(headers)
-    writer.writerows(rows)
-    return buf.getvalue()

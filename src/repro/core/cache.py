@@ -147,7 +147,14 @@ class ScheduleCache:
         algorithm: str,
     ) -> Schedule | None:
         """Fresh schedule for ``graph`` if an equivalent one is cached."""
-        signature, ids = _canonical(graph)
+        return self._get(_canonical(graph), k, beta, algorithm)
+
+    def _get(
+        self, canonical: tuple[tuple, list[int]], k: int, beta: float,
+        algorithm: str,
+    ) -> Schedule | None:
+        """:meth:`get` for a graph whose :func:`_canonical` form is known."""
+        signature, ids = canonical
         key = (algorithm, int(k), float(beta), signature)
         metrics = obs.metrics()
         with self._lock:
@@ -183,7 +190,14 @@ class ScheduleCache:
         schedule: Schedule,
     ) -> None:
         """Store ``schedule`` for ``graph``; detached from the argument."""
-        signature, ids = _canonical(graph)
+        self._put(_canonical(graph), k, beta, algorithm, schedule)
+
+    def _put(
+        self, canonical: tuple[tuple, list[int]], k: int, beta: float,
+        algorithm: str, schedule: Schedule,
+    ) -> None:
+        """:meth:`put` for a graph whose :func:`_canonical` form is known."""
+        signature, ids = canonical
         key = (algorithm, int(k), float(beta), signature)
         position = {eid: pos for pos, eid in enumerate(ids)}.__getitem__
         steps_data = []

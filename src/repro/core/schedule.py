@@ -181,11 +181,6 @@ class Schedule:
         return self.setup_time + self.transmission_time
 
     @property
-    def total_volume(self) -> float:
-        """Total data shipped across all steps."""
-        return sum(s.volume() for s in self.steps)
-
-    @property
     def max_step_size(self) -> int:
         """Largest number of simultaneous transfers in any step."""
         return max((len(s) for s in self.steps), default=0)

@@ -32,11 +32,6 @@ class Resource:
         self._waiting: deque[Event] = deque()
 
     @property
-    def in_use(self) -> int:
-        """Number of currently held slots."""
-        return self._in_use
-
-    @property
     def queued(self) -> int:
         """Number of waiting requests."""
         return len(self._waiting)

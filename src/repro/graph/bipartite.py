@@ -76,10 +76,6 @@ class Edge:
     weight: Number
     kind: EdgeKind = EdgeKind.ORIGINAL
 
-    def with_weight(self, weight: Number) -> "Edge":
-        """Copy of this edge with a different weight."""
-        return Edge(self.id, self.left, self.right, weight, self.kind)
-
     @property
     def endpoints(self) -> tuple[int, int]:
         """``(left, right)`` pair."""
@@ -412,11 +408,6 @@ class BipartiteGraph:
         """Number of right (receiver) nodes, including isolated ones."""
         return len(self._right_adj)
 
-    @property
-    def num_nodes(self) -> int:
-        """``n = |V1| + |V2|``."""
-        return self.num_left + self.num_right
-
     def left_nodes(self) -> list[int]:
         """Sorted left node ids."""
         return sorted(self._left_adj)
@@ -490,14 +481,6 @@ class BipartiteGraph:
             return [self.edge(i) for i in sorted(self._live)]
         return sorted(self.edges(), key=key)  # type: ignore[arg-type]
 
-    def left_edges(self, node: int) -> list[Edge]:
-        """Edges adjacent to a left node."""
-        return [self.edge(i) for i in self._left_adj[node]]
-
-    def right_edges(self, node: int) -> list[Edge]:
-        """Edges adjacent to a right node."""
-        return [self.edge(i) for i in self._right_adj[node]]
-
     def left_node_kind(self, node: int) -> NodeKind:
         """Provenance of a left node."""
         return self._left_kind[node]
@@ -546,21 +529,6 @@ class BipartiteGraph:
             return True
         lo, hi = min(weights), max(weights)
         return hi - lo <= tol
-
-    def original_edge_ids(self) -> set[int]:
-        """Ids of edges of kind ORIGINAL."""
-        kinds = self._ekind
-        return {i for i in self._live if kinds[i] is EdgeKind.ORIGINAL}
-
-    def max_edge_weight(self) -> Number:
-        """Largest edge weight (0 for an empty graph)."""
-        weights = self._eweight
-        return max((weights[i] for i in self._live), default=0)
-
-    def min_edge_weight(self) -> Number:
-        """Smallest edge weight (0 for an empty graph)."""
-        weights = self._eweight
-        return min((weights[i] for i in self._live), default=0)
 
     # ------------------------------------------------------------------
     # Transformation

@@ -161,16 +161,6 @@ def from_traffic_matrix(
     return g
 
 
-def to_traffic_matrix(graph: BipartiteGraph, speed: Number = 1) -> np.ndarray:
-    """Inverse of :func:`from_traffic_matrix` (parallel edges summed)."""
-    n1 = max(graph.left_nodes(), default=-1) + 1
-    n2 = max(graph.right_nodes(), default=-1) + 1
-    out = np.zeros((n1, n2), dtype=float)
-    for e in graph.edges():
-        out[e.left, e.right] += e.weight * speed
-    return out
-
-
 def paper_figure2_graph() -> BipartiteGraph:
     """The worked example of the paper's Figure 2 (k = 3, β = 1).
 

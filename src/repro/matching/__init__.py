@@ -13,8 +13,8 @@
   across the WRGP/GGP/OGGP peeling loops (the Hungarian one also owns
   its weights and yields ``(edge ids, peel)`` rounds).  The bottleneck
   one is the only exact OGGP peeler (``engine='fast'``, alias
-  ``'vector'``): the int-array threshold sweep with a frontier-at-a-time
-  BFS and exact probe skipping, bit-identical to the stateless path.
+  ``'vector'``): the int-array threshold sweep with exact probe
+  skipping, bit-identical to the stateless path.
 - :func:`hopcroft_karp_vec` — the int-array Hopcroft–Karp,
   bit-identical to :func:`hopcroft_karp`.
 - :class:`ApproxBottleneckPeeler` / :class:`ApproxPeelCore` — the

@@ -33,13 +33,6 @@ class Matching:
         self._by_left[edge.left] = edge
         self._by_right[edge.right] = edge
 
-    def discard_left(self, left: int) -> Edge | None:
-        """Remove (and return) the edge matching left node, if any."""
-        edge = self._by_left.pop(left, None)
-        if edge is not None:
-            del self._by_right[edge.right]
-        return edge
-
     def __len__(self) -> int:
         return len(self._by_left)
 

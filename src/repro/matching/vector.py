@@ -1,9 +1,8 @@
 """Exact and approximate matching engines over flat int arrays.
 
 Three engines live here, all built on one shared core
-(:class:`_ArrayMatcher` — an int-array Hopcroft–Karp whose layered BFS
-switches to numpy frontier-at-a-time form once the admitted edge set is
-large enough to amortise the array overhead):
+(:class:`_ArrayMatcher` — an int-array Hopcroft–Karp over plain Python
+lists: a FIFO BFS layering and a pointer-form augmenting DFS):
 
 - :func:`hopcroft_karp_vec` — drop-in replacement for
   :func:`repro.matching.hopcroft_karp.hopcroft_karp` returning the
@@ -12,11 +11,11 @@ large enough to amortise the array overhead):
   the hot loop.
 - :class:`BottleneckPeeler` — the exact bottleneck peeler behind
   ``engine='fast'`` and its alias ``'vector'``: bit-identical matchings
-  (and therefore schedules) to ``engine='reference'``, with several
-  speedups layered on top: the numpy BFS, *exact probe skipping*
-  (below), depth-1 flips for all-exposed weight classes, and a limit
-  early-exit that skips the terminating failed BFS once a probe's batch
-  is provably exhausted (both argued inline in :func:`_vector_sweep` /
+  (and therefore schedules) to ``engine='reference'``, with three
+  speedups layered on top: *exact probe skipping* (below), depth-1
+  flips for all-exposed weight classes, and a limit early-exit that
+  skips the terminating failed BFS once a probe's batch is provably
+  exhausted (both argued inline in :func:`_vector_sweep` /
   :meth:`_ArrayMatcher.augment_to_max`).
 - :class:`ApproxPeelCore` / :class:`ApproxBottleneckPeeler` — the
   ``engine='approx'`` peeler: Etzold's dense-graph sparsification
@@ -43,12 +42,11 @@ the expansion reaches no exposed right, running the full Hopcroft–Karp
 would provably leave the matching untouched — so skipping it leaves
 the engine in the *identical* state and bit-identity is preserved.
 
-BFS layering note: the sequential FIFO BFS and the numpy
-frontier-at-a-time BFS assign every left node the same layer distance
-(both explore in non-decreasing distance order over the same edge
-set), and the augmenting DFS — which is what actually picks edges — is
-kept in faithful pointer form, so the two BFS implementations are
-interchangeable without affecting which matching is produced.
+BFS layering note: the FIFO BFS assigns every left node its alternating
+layer distance, exactly like
+:func:`repro.matching.hopcroft_karp.hopcroft_karp_core`, and the
+augmenting DFS — which is what actually picks edges — is kept in
+faithful pointer form, so the matching produced is the reference one.
 """
 
 from __future__ import annotations
@@ -56,8 +54,6 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, insort
 from typing import Collection
-
-import numpy as np
 
 from repro import obs
 from repro.graph.bipartite import BipartiteGraph, Number
@@ -74,11 +70,6 @@ __all__ = [
 ]
 
 _INF = float("inf")
-
-#: Admitted-edge count below which the pure-Python BFS wins over numpy
-#: (array-op overhead dominates on small frontiers).  The DFS is always
-#: pure Python — it is inherently sequential and must stay faithful.
-_SMALL_ADMITTED = 1500
 
 #: Missing-match count at or below which the approx engine repairs the
 #: matching with per-hole Kuhn paths instead of full Hopcroft–Karp
@@ -105,11 +96,9 @@ class _ArrayMatcher:
     engine, shrinks via :meth:`evict`); :meth:`augment_to_max`
     runs faithful Hopcroft–Karp phases over it.
 
-    The authoritative state is plain Python lists (fast scalar access
-    for the sequential parts); the numpy views used by the vector BFS
-    are synced lazily — admitted-edge arrays up to a watermark, match
-    arrays rebuilt per BFS — so small instances never pay array
-    overhead.
+    All state is plain Python lists: the admitted set lives only in the
+    per-left adjacency lists ``adj``/``adjr``, so admitting an edge is
+    two appends and evicting one is a list delete.
     """
 
     __slots__ = (
@@ -122,33 +111,17 @@ class _ArrayMatcher:
         "match_l",
         "match_r",
         "rml",
-        "pel",
-        "per",
-        "peid",
-        "pel_np",
-        "per_np",
-        "alive_np",
-        "synced",
-        "pos",
-        "dead",
         "matched",
-        "dist_np",
         "chosen",
         "reach_dist",
         "reach_stale",
-        "force_py_bfs",
         "vis_r",
         "vis_stamp",
         "pre",
     )
 
     def __init__(
-        self,
-        n_left: int,
-        n_right: int,
-        el: list[int],
-        er: list[int],
-        track_pos: bool = False,
+        self, n_left: int, n_right: int, el: list[int], er: list[int]
     ) -> None:
         self.nl = n_left
         self.nr = n_right
@@ -163,19 +136,7 @@ class _ArrayMatcher:
         # rml[j] = dense left index matched to right j (-1 = exposed):
         # collapses the match_r[j] -> el[meid] double lookup to one.
         self.rml = [-1] * n_right
-        # Admitted edges in admission order (parallel lists); numpy
-        # mirrors are refreshed from ``synced`` onward on demand.
-        self.pel: list[int] = []
-        self.per: list[int] = []
-        self.peid: list[int] | None = [] if track_pos else None
-        self.pel_np = np.empty(0, dtype=np.int64)
-        self.per_np = np.empty(0, dtype=np.int64)
-        self.alive_np = np.empty(0, dtype=bool)
-        self.synced = 0
-        self.pos: dict[int, int] | None = {} if track_pos else None
-        self.dead = 0
         self.matched = 0
-        self.dist_np = np.empty(n_left, dtype=float)
         self.chosen = [-1] * n_left
         # Reachability scratch: finite entries mark left nodes reachable
         # from an exposed left by an alternating path (see may_augment).
@@ -184,10 +145,6 @@ class _ArrayMatcher:
         # failed BFS (limit early-exit); may_augment then answers True
         # conservatively until a failed BFS refreshes reach_dist.
         self.reach_stale = False
-        # Sparse candidate graphs (Etzold) have long alternating paths;
-        # the frontier-at-a-time numpy BFS re-scans every admitted edge
-        # per level, so those engines pin the BFS to the Python form.
-        self.force_py_bfs = False
         # Kuhn-repair scratch, stamp-versioned so per-hole searches
         # never reallocate: vis_r marks rights seen in the current BFS,
         # pre[v] records the edge through which left v was discovered.
@@ -203,11 +160,6 @@ class _ArrayMatcher:
         r = self.er[eid]
         self.adj[u].append(eid)
         self.adjr[u].append(r)
-        self.pel.append(u)
-        self.per.append(r)
-        if self.pos is not None:
-            self.pos[eid] = len(self.peid)
-            self.peid.append(eid)
 
     def evict(self, eid: int) -> None:
         """Remove an admitted edge (clearing its match entry if matched)."""
@@ -222,44 +174,6 @@ class _ArrayMatcher:
             self.match_r[r] = -1
             self.rml[r] = -1
             self.matched -= 1
-        slot = self.pos.pop(eid)
-        self.pel[slot] = -1  # dead marker for the python arrays
-        if slot < self.synced:
-            self.alive_np[slot] = False
-        self.dead += 1
-        if self.dead * 2 > len(self.pel):
-            self._compress()
-
-    def _compress(self) -> None:
-        """Drop dead slots from the admitted arrays (amortised O(1)/evict)."""
-        pel = self.pel
-        keep = [i for i, u in enumerate(pel) if u >= 0]
-        self.pel = [pel[i] for i in keep]
-        self.per = [self.per[i] for i in keep]
-        self.peid = [self.peid[i] for i in keep]
-        self.pos = {eid: i for i, eid in enumerate(self.peid)}
-        self.synced = 0
-        self.dead = 0
-
-    def _sync_arrays(self) -> None:
-        """Bring the numpy admitted-edge mirrors up to date."""
-        total = len(self.pel)
-        if len(self.pel_np) < total:
-            cap = max(2 * len(self.pel_np), total, 16)
-            for name in ("pel_np", "per_np", "alive_np"):
-                old = getattr(self, name)
-                grown = np.empty(cap, dtype=old.dtype)
-                grown[: self.synced] = old[: self.synced]
-                setattr(self, name, grown)
-        s = self.synced
-        if s < total:
-            self.pel_np[s:total] = self.pel[s:total]
-            self.per_np[s:total] = self.per[s:total]
-            self.alive_np[s:total] = True
-            if self.dead:
-                # Dead-marked slots may sit above the old watermark.
-                self.alive_np[s:total] = np.asarray(self.pel[s:total]) >= 0
-            self.synced = total
 
     def reset_matching(self) -> None:
         """Empty the matching and the admitted set (the exact peel reset)."""
@@ -272,13 +186,6 @@ class _ArrayMatcher:
             mr[j] = -1
             rml[j] = -1
         self.matched = 0
-        self.pel.clear()
-        self.per.clear()
-        if self.peid is not None:
-            self.peid.clear()
-            self.pos.clear()
-        self.synced = 0
-        self.dead = 0
         for lst in self.adj:
             lst.clear()
         for lst in self.adjr:
@@ -369,20 +276,8 @@ class _ArrayMatcher:
         match_r = self.match_r
         rml = self.rml
         chosen = self.chosen
-        use_np = (
-            not self.force_py_bfs
-            and (len(self.pel) - self.dead) > _SMALL_ADMITTED
-        )
-        if use_np:
-            self._sync_arrays()
-            total = len(self.pel)
-            pel = self.pel_np[:total]
-            per = self.per_np[:total]
-            alive = self.alive_np[:total] if self.dead else None
-            dist_np = self.dist_np
         phases = 0
         augmented = 0
-        dist: list[float] = []
         while True:
             if limit is not None and augmented >= limit:
                 # Provably maximum already: skip the failed BFS whose
@@ -391,53 +286,23 @@ class _ArrayMatcher:
                 self.reach_stale = True
                 return phases, augmented
             reachable = False
-            if use_np:
-                ml_np = np.fromiter(match_l, np.int64, nl)
-                rml_np = np.fromiter(rml, np.int64, self.nr)
-                exposed = ml_np < 0
-                np.copyto(dist_np, _INF)
-                dist_np[exposed] = 0.0
-                frontier = exposed
-                level = 0.0
-                while True:
-                    scan = frontier[pel]
-                    if alive is not None:
-                        scan &= alive
-                    rr = per[scan]
-                    if rr.size == 0:
-                        break
-                    partners = rml_np[rr]
-                    hit = partners < 0
-                    if hit.any():
+            dist = [_INF] * nl
+            queue: list[int] = []
+            for u in range(nl):
+                if match_l[u] < 0:
+                    dist[u] = 0
+                    queue.append(u)
+            # Iterating a list while appending to it is the FIFO
+            # BFS: items are picked up in insertion order.
+            for u in queue:
+                du1 = dist[u] + 1
+                for r in adjr[u]:
+                    v = rml[r]
+                    if v < 0:
                         reachable = True
-                    nxt = partners[~hit]
-                    cand = np.zeros(nl, dtype=bool)
-                    cand[nxt] = True
-                    cand &= np.isinf(dist_np)
-                    if not cand.any():
-                        break
-                    level += 1.0
-                    dist_np[cand] = level
-                    frontier = cand
-                dist = dist_np.tolist()
-            else:
-                dist = [_INF] * nl
-                queue: list[int] = []
-                for u in range(nl):
-                    if match_l[u] < 0:
-                        dist[u] = 0
-                        queue.append(u)
-                # Iterating a list while appending to it is the FIFO
-                # BFS: items are picked up in insertion order.
-                for u in queue:
-                    du1 = dist[u] + 1
-                    for r in adjr[u]:
-                        v = rml[r]
-                        if v < 0:
-                            reachable = True
-                        elif dist[v] == _INF:
-                            dist[v] = du1
-                            queue.append(v)
+                    elif dist[v] == _INF:
+                        dist[v] = du1
+                        queue.append(v)
             if not reachable:
                 break
             phases += 1
@@ -485,7 +350,7 @@ class _ArrayMatcher:
         self.matched += augmented
         # The final BFS failed, so its finite distances are exactly the
         # alternating-reachability set — kept for probe skipping.
-        self.reach_dist = dist if dist else [0.0] * nl
+        self.reach_dist = dist
         self.reach_stale = False
         return phases, augmented
 
@@ -614,8 +479,8 @@ def hopcroft_karp_vec(
 
     Same signature and semantics as
     :func:`repro.matching.hopcroft_karp.hopcroft_karp` — edge filtering
-    and warm start included — but the search runs over flat int arrays
-    (numpy BFS on large graphs) instead of per-edge ``Edge`` objects.
+    and warm start included — but the search runs over flat int lists
+    instead of per-edge ``Edge`` objects.
     """
     obs.metrics().counter("matching.hk.calls").inc()
     allowed_set = None if allowed is None else set(allowed)
@@ -686,8 +551,6 @@ def _vector_sweep(
     er = matcher.er
     adj = matcher.adj
     adjr = matcher.adjr
-    pel = matcher.pel
-    per = matcher.per
     match_l = matcher.match_l
     match_r = matcher.match_r
     rml = matcher.rml
@@ -703,8 +566,6 @@ def _vector_sweep(
             r = er[eid]
             adj[u].append(eid)
             adjr[u].append(r)
-            pel.append(u)
-            per.append(r)
             batch.append(eid)
             if match_l[u] >= 0 or rml[r] >= 0:
                 all_exposed = False
@@ -949,8 +810,7 @@ class ApproxPeelCore:
         self._rp = [0] * n
         self._promoted = bytearray(size)
         self._pending: list[tuple[Number, int]] = []
-        self._matcher = _ArrayMatcher(n, n, el, er, track_pos=True)
-        self._matcher.force_py_bfs = True
+        self._matcher = _ArrayMatcher(n, n, el, er)
         for i in range(n):
             for _ in range(degree):
                 self._promote_next(llists, self._lp, i)

@@ -102,11 +102,6 @@ class PacketSimResult:
     dropped_segments: int
     goodput_efficiency: float
 
-    @property
-    def drop_rate(self) -> float:
-        """Fraction of transmitted segments dropped somewhere."""
-        return self.dropped_segments / max(1, self.sent_segments)
-
 
 class _DropTailLink:
     """A shaped link: FIFO service at ``rate`` with a drop-tail buffer."""

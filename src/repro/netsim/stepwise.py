@@ -1,10 +1,13 @@
-"""Barrier-synchronised execution of a K-PBS schedule on the DES kernel.
+"""Barrier-synchronised execution of a K-PBS schedule.
 
 Mirrors the structure of the paper's MPI implementation (§5.2): every
 cluster-1 node runs a loop of *steps*; in each step it performs at most
 one synchronous send (its transfer of the step's matching, if any), then
 waits at a barrier before the next step.  The per-step setup delay β
-covers the barrier and socket (re)establishment.
+covers the barrier and socket (re)establishment.  A step therefore ends
+when its slowest sender does, at ``start + β + max(work)``, and the
+clock is advanced step by step in exactly that arithmetic — no event
+queue is needed for a run whose every sender waits at the same barrier.
 
 Because the schedule's steps are matchings with at most ``k`` transfers
 and ``k·t ≤ T``, the fluid fair-share allocation gives every transfer
@@ -20,7 +23,6 @@ from dataclasses import dataclass, field, replace
 
 from repro import obs
 from repro.core.schedule import Schedule
-from repro.des import Barrier, Environment
 from repro.netsim.fairshare import FlowDemand, max_min_fair_rates
 from repro.netsim.topology import NetworkSpec
 from repro.resilience.faults import (
@@ -92,10 +94,6 @@ def simulate_schedule(
     failed_at = planned_transfer_faults(schedule, faults, fault_round)
     count_planned_faults(failed_at)
 
-    env = Environment()
-    barrier = Barrier(env, parties=spec.n1)
-    step_durations: list[float] = []
-
     delivered: dict[int, float] = {}
     degraded_steps: list[int] = []
     # Pre-compute each step's per-transfer rates and sender work lists.
@@ -138,30 +136,19 @@ def simulate_schedule(
         step_plans.append(plan)
     count_fault("link_degradation", len(degraded_steps))
 
-    step_end_times = [0.0] * len(step_plans)
-
-    def node(rank: int):
-        for i, plan in enumerate(step_plans):
-            # Setup: barrier + socket establishment, charged once per step.
-            yield env.timeout(spec.step_setup)
-            work = plan.get(rank)
-            if work is not None:
-                yield env.timeout(work)
-            yield barrier.wait()
-            if rank == 0:
-                step_end_times[i] = env.now
-
+    # Every sender starts a step after the setup delay and waits at the
+    # barrier, so the step ends with its slowest sender (or after the
+    # setup alone when no transfer runs).
+    now = 0.0
+    step_durations: list[float] = []
     with obs.phase(
         "netsim.stepwise", steps=len(step_plans), parties=spec.n1, k=spec.k
     ):
-        procs = [env.process(node(r)) for r in range(spec.n1)]
-        done = env.all_of(procs)
-        env.run(done)
-
-    previous = 0.0
-    for i, end in enumerate(step_end_times):
-        step_durations.append(end - previous - spec.step_setup)
-        previous = end
+        for plan in step_plans:
+            start = now + spec.step_setup
+            end = max((start + work for work in plan.values()), default=start)
+            step_durations.append(end - now - spec.step_setup)
+            now = end
 
     metrics = obs.metrics()
     metrics.counter("netsim.runs").inc()
@@ -174,10 +161,10 @@ def simulate_schedule(
         step_hist.observe(duration)
         flows_hist.observe(len(plan))
         util_hist.observe(len(plan) / k)
-    metrics.gauge("netsim.total_time").set(env.now)
+    metrics.gauge("netsim.total_time").set(now)
 
     return StepwiseResult(
-        total_time=env.now,
+        total_time=now,
         step_durations=step_durations,
         num_steps=len(step_plans),
         setup_total=spec.step_setup * len(step_plans),

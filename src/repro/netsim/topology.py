@@ -12,7 +12,7 @@ maximum congestion-free simultaneity is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.util.errors import ConfigError
 
@@ -92,7 +92,3 @@ class NetworkSpec:
             backbone_rate=100.0,
             step_setup=step_setup,
         )
-
-    def with_setup(self, step_setup: float) -> "NetworkSpec":
-        """Copy with a different per-step setup delay."""
-        return replace(self, step_setup=step_setup)

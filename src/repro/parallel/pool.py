@@ -241,14 +241,6 @@ class PoolReport:
     #: Per-worker ``ScheduleCache.stats()`` dicts.
     cache_stats: list[dict] = field(default_factory=list)
 
-    def cache_totals(self) -> dict[str, int]:
-        """Hit/miss/eviction counts summed over all workers."""
-        totals = {"hits": 0, "misses": 0, "evictions": 0, "size": 0}
-        for stats in self.cache_stats:
-            for key in totals:
-                totals[key] += stats.get(key, 0)
-        return totals
-
 
 class _MapState:
     """Bookkeeping for one :meth:`WorkerPool.map` call."""

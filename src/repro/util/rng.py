@@ -10,8 +10,6 @@ or subsampled).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 #: Alias used throughout the library for type annotations.
@@ -53,8 +51,3 @@ def spawn_streams(seed: int | None, count: int) -> list[RngStream]:
         raise ValueError(f"count must be non-negative, got {count}")
     root = np.random.SeedSequence(seed)
     return [np.random.default_rng(s) for s in root.spawn(count)]
-
-
-def as_seed_sequence(values: Sequence[int] | Iterable[int]) -> np.random.SeedSequence:
-    """Build a SeedSequence from an iterable of entropy integers."""
-    return np.random.SeedSequence(tuple(int(v) for v in values))

@@ -3,7 +3,6 @@
 import csv
 
 from repro.analysis.tables import (
-    csv_string,
     format_markdown,
     format_table,
     write_csv,
@@ -44,8 +43,3 @@ class TestCsv:
             rows = list(csv.reader(fh))
         assert rows[0] == list(HEADERS)
         assert rows[1] == ["alpha", "1.25"]
-
-    def test_csv_string(self):
-        text = csv_string(HEADERS, ROWS)
-        assert text.splitlines()[0] == "name,value"
-        assert len(text.splitlines()) == 3

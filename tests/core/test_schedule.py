@@ -62,7 +62,7 @@ class TestScheduleMetrics:
         assert sched.transmission_time == 4.0
         assert sched.setup_time == 2.0
         assert sched.cost == 6.0
-        assert sched.total_volume == 7.0
+        assert sum(sched.transferred_per_edge().values()) == 7.0
         assert sched.max_step_size == 2
 
     def test_empty_schedule(self):

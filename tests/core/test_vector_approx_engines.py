@@ -50,8 +50,8 @@ class TestVectorBitIdentity:
     @pytest.mark.parametrize("seed", [12345, 777, 31])
     @pytest.mark.parametrize("algorithm", [ggp, oggp])
     def test_golden_medium_instances(self, algorithm, seed):
-        # Larger fixed instances than hypothesis reaches: the regime the
-        # numpy BFS and probe skipping actually fire in.
+        # Larger fixed instances than hypothesis reaches: the regime
+        # probe skipping, depth-1 flips and the limit early-exit fire in.
         g = random_bipartite(seed, max_side=40, max_edges=1600)
         vec = algorithm(g, 10, 1.0, engine="vector")
         fast = algorithm(g, 10, 1.0, engine="fast")

@@ -53,7 +53,6 @@ class TestResource:
         res = Resource(env, capacity=1)
         res.request()
         res.request()
-        assert res.in_use == 1
         assert res.queued == 1
 
     def test_invalid_capacity(self):

@@ -9,17 +9,6 @@ class TestAccessors:
             [(0, 0, 4), (0, 1, 2), (1, 1, 3), (2, 0, 1)]
         )
 
-    def test_left_edges(self):
-        g = self.graph()
-        edges = g.left_edges(0)
-        assert {e.right for e in edges} == {0, 1}
-        assert sum(e.weight for e in edges) == 6
-
-    def test_right_edges(self):
-        g = self.graph()
-        edges = g.right_edges(0)
-        assert {e.left for e in edges} == {0, 2}
-
     def test_edges_sorted_default_is_id_order(self):
         g = self.graph()
         ids = [e.id for e in g.edges_sorted()]
@@ -39,13 +28,6 @@ class TestAccessors:
         g = self.graph()
         assert g.left_nodes() == [0, 1, 2]
         assert g.right_nodes() == [0, 1]
-
-    def test_num_nodes(self):
-        assert self.graph().num_nodes == 5
-
-    def test_original_edge_ids(self):
-        g = self.graph()
-        assert g.original_edge_ids() == set(g.edge_ids())
 
     def test_iter_edge_data_matches_edge_views(self):
         g = self.graph()

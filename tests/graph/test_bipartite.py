@@ -80,8 +80,6 @@ class TestAggregates:
         assert small_graph.max_degree() == 2
         assert small_graph.node_weight(0, "left") == 6
         assert small_graph.node_weight(1, "right") == 5
-        assert small_graph.max_edge_weight() == 5
-        assert small_graph.min_edge_weight() == 1
 
     def test_weight_regularity_detection(self):
         regular = BipartiteGraph.from_edges(
@@ -241,12 +239,6 @@ class TestDunder:
 
 
 class TestEdgeDataclass:
-    def test_with_weight(self):
-        e = Edge(0, 1, 2, 5.0)
-        e2 = e.with_weight(3.0)
-        assert e2.weight == 3.0
-        assert (e2.id, e2.left, e2.right, e2.kind) == (0, 1, 2, EdgeKind.ORIGINAL)
-
     def test_endpoints(self):
         assert Edge(0, 1, 2, 5.0).endpoints == (1, 2)
 

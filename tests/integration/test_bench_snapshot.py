@@ -2,7 +2,12 @@
 
 import json
 
-from benchmarks.perf_snapshot import ALGORITHMS, main, snapshot_rows
+from benchmarks.perf_snapshot import (
+    ALGORITHMS,
+    COUNTER_COLUMNS,
+    main,
+    snapshot_rows,
+)
 
 
 class TestPerfSnapshot:
@@ -19,3 +24,17 @@ class TestPerfSnapshot:
         doc = json.loads(out.read_text())
         assert doc["benchmark"] == "algorithms"
         assert len(doc["rows"]) == len(ALGORITHMS)
+
+    def test_rows_carry_exact_work_counters(self):
+        rows = {
+            (r["algorithm"], r["engine"]): r
+            for r in snapshot_rows(sizes=(6,), repeats=2)
+        }
+        for row in rows.values():
+            assert set(COUNTER_COLUMNS) <= set(row)
+            assert row["steps"] >= 1 and row["transfers"] >= row["steps"]
+        oggp, ggp = rows["oggp", "fast"], rows["ggp", "fast"]
+        assert oggp["bottleneck_threshold_probes"] >= oggp["wrgp_peels"] > 0
+        assert oggp["hk_bfs_phases"] > 0 and oggp["hungarian_calls"] == 0
+        assert ggp["hungarian_calls"] == ggp["wrgp_peels"] > 0
+        assert ggp["bottleneck_threshold_probes"] == 0

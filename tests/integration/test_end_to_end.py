@@ -36,7 +36,7 @@ class TestPatternToSchedulePipeline:
         s = oggp(graph, k=4, beta=2.0)
         s.validate(graph)
         # Total shipped equals total elements.
-        assert s.total_volume == pytest.approx(600.0)
+        assert sum(s.transferred_per_edge().values()) == pytest.approx(600.0)
 
 
 class TestScheduleToSimulationPipeline:

@@ -26,13 +26,6 @@ class TestMatchingContainer:
         with pytest.raises(MatchingError):
             m.add(Edge(1, 1, 0, 1.0))
 
-    def test_discard_left(self):
-        m = Matching([Edge(0, 0, 0, 1.0)])
-        gone = m.discard_left(0)
-        assert gone is not None and gone.id == 0
-        assert len(m) == 0
-        assert m.discard_left(0) is None
-
     def test_contains_is_identity_based(self):
         e = Edge(0, 0, 0, 1.0)
         m = Matching([e])
@@ -75,8 +68,8 @@ class TestMatchingContainer:
     def test_copy_independent(self):
         m = Matching([Edge(0, 0, 0, 1.0)])
         c = m.copy()
-        c.discard_left(0)
-        assert len(m) == 1 and len(c) == 0
+        c.add(Edge(1, 1, 1, 1.0))
+        assert len(m) == 1 and len(c) == 2
 
     def test_repr(self):
         assert "size=1" in repr(Matching([Edge(0, 0, 0, 1.0)]))

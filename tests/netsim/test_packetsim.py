@@ -5,7 +5,6 @@ import pytest
 
 from repro.netsim.packetsim import (
     PacketSimParams,
-    PacketSimResult,
     simulate_packet_bruteforce,
 )
 from repro.netsim.tcp import TcpParams, simulate_bruteforce
@@ -71,10 +70,6 @@ class TestBasics:
             simulate_packet_bruteforce(
                 spec, traffic, rng=0, params=PacketSimParams(max_time=0.1)
             )
-
-    def test_drop_rate_property(self):
-        r = PacketSimResult(1.0, np.ones(1), 100, 90, 10, 0.9)
-        assert r.drop_rate == pytest.approx(0.1)
 
 
 class TestCongestionBehaviour:

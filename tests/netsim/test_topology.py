@@ -34,11 +34,6 @@ class TestDerivations:
                            backbone_rate=10)
         assert spec.k == 1
 
-    def test_with_setup(self):
-        spec = NetworkSpec.paper_testbed(3).with_setup(0.5)
-        assert spec.step_setup == 0.5
-        assert spec.k == 3
-
     def test_mbit_constant(self):
         assert MBIT_PER_MB == 8.0
 

@@ -275,3 +275,59 @@ class TestSerialFallback:
         assert reg.counter("parallel.batch.serial_fallback").value == 0
         serial = schedule_batch(graphs, "oggp", k=3, beta=1.0, jobs=1, cache=None)
         assert [flat(s) for s in batched] == [flat(s) for s in serial]
+
+
+class TestCanonicalOnce:
+    """The parallel path sorts each graph's canonical form once per batch."""
+
+    @staticmethod
+    def patterns() -> list[BipartiteGraph]:
+        bases = [
+            [(0, 0, 4), (0, 1, 2), (1, 1, 3), (1, 0, 5)],
+            [(0, 0, 1), (1, 1, 6), (1, 0, 2), (2, 2, 3)],
+            [(0, 1, 7), (1, 0, 7), (2, 2, 1)],
+        ]
+        graphs = []
+        for _ in range(3):
+            for edges in bases:
+                graphs.append(BipartiteGraph.from_edges(edges))
+        # Same patterns under different edge ids: insert in reverse order.
+        graphs[3:6] = [
+            BipartiteGraph.from_edges(list(reversed(edges))) for edges in bases
+        ]
+        return graphs
+
+    def test_one_canonical_call_per_graph_cold_and_warm(self, monkeypatch):
+        import repro.core.cache as cache_module
+        import repro.parallel.batch as batch_module
+
+        graphs = self.patterns()
+        serial_cache = ScheduleCache()
+        serial = [
+            cached_schedule(g, k=2, beta=1.0, algorithm="oggp", cache=serial_cache)
+            for g in graphs
+        ]
+        calls = []
+        real = cache_module._canonical
+
+        def counting(graph):
+            calls.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(cache_module, "_canonical", counting)
+        monkeypatch.setattr(batch_module, "_canonical", counting)
+        cache = ScheduleCache()
+        with make_schedule_pool(jobs=2) as pool:
+            cold = schedule_batch(
+                graphs, "oggp", k=2, beta=1.0, pool=pool, cache=cache
+            )
+            assert len(calls) == len(graphs)
+            assert cache.stats()["misses"] == 3
+            calls.clear()
+            warm = schedule_batch(
+                graphs, "oggp", k=2, beta=1.0, pool=pool, cache=cache
+            )
+            assert len(calls) == len(graphs)
+        assert cache.stats()["hits"] == serial_cache.stats()["hits"] + len(graphs)
+        assert [flat(s) for s in cold] == [flat(s) for s in serial]
+        assert [flat(s) for s in warm] == [flat(s) for s in serial]

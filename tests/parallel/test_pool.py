@@ -275,14 +275,6 @@ class TestTelemetry:
         # Workers ran with obs off: the shipped snapshots are empty.
         assert all(snapshot == {} for snapshot in report.worker_metrics)
 
-    def test_report_cache_totals(self):
-        with WorkerPool(2, square) as pool:
-            pool.map([1])
-            report = pool.shutdown()
-        totals = report.cache_totals()
-        assert set(totals) == {"hits", "misses", "evictions", "size"}
-        assert len(report.cache_stats) == 2
-
     def test_shutdown_idempotent(self):
         pool = WorkerPool(1, square)
         first = pool.shutdown()

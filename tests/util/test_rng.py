@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.rng import as_seed_sequence, derive_rng, spawn_streams
+from repro.util.rng import derive_rng, spawn_streams
 
 
 class TestDeriveRng:
@@ -57,8 +57,3 @@ class TestSpawnStreams:
         with pytest.raises(ValueError):
             spawn_streams(0, -1)
 
-
-class TestSeedSequence:
-    def test_builds_from_iterable(self):
-        ss = as_seed_sequence([1, 2, 3])
-        assert ss.entropy == (1, 2, 3)

@@ -9,11 +9,13 @@ matrices.
 This is exactly the β = 0, unbounded-k special case of K-PBS on a
 weight-regular graph — each WRGP peel is one permutation with the peel
 amount as its coefficient — so the implementation simply drives
-:func:`repro.core.wrgp.peel_weight_regular`.  It is exposed as a
-standalone utility because the decomposition is useful beyond
-scheduling (e.g. SS/TDMA switch programs, the paper's §3 related work),
-and because it gives WRGP an independent, classical correctness oracle:
-the weighted permutations must reconstruct the input matrix exactly.
+:func:`repro.core.wrgp.peel_weight_regular`, whose ``(edge ids, peel)``
+rounds come (by default) from the exact bottleneck peeler over the
+input's ``Fraction`` weights.  It is exposed as a standalone utility
+because the decomposition is useful beyond scheduling (e.g. SS/TDMA
+switch programs, the paper's §3 related work), and because it gives
+WRGP an independent, classical correctness oracle: the weighted
+permutations must reconstruct the input matrix exactly.
 """
 
 from __future__ import annotations
@@ -88,11 +90,16 @@ def birkhoff_von_neumann(
             "integers) and retry"
         )
 
+    # The rounds may consume ``graph``, so the endpoints are read first.
+    endpoints = {
+        eid: (left, right) for eid, left, right, _w, _kind in graph.iter_edge_data()
+    }
     parts: list[tuple[float, tuple[int, ...]]] = []
-    for m, peel in peel_weight_regular(graph, matching=matching):
+    for eids, peel in peel_weight_regular(graph, matching=matching):
         perm = [-1] * n
-        for edge in m.edges():
-            perm[edge.left] = edge.right
+        for eid in eids:
+            left, right = endpoints[eid]
+            perm[left] = right
         parts.append((float(peel), tuple(perm)))
     return parts
 

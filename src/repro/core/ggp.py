@@ -25,11 +25,10 @@ from repro.graph.bipartite import BipartiteGraph, EdgeKind
 from repro.core.normalize import normalize_weights
 from repro.core.regularize import regularize
 from repro.core.schedule import Schedule, Step, Transfer
-from repro.core.wrgp import (  # noqa: F401 - peel_weight_regular re-exported
+from repro.core.wrgp import (
     MatchingStrategy,
     PeelEngine,
     _check_engine,
-    peel_rounds,
     peel_weight_regular,
 )
 from repro.util.errors import ConfigError
@@ -61,8 +60,7 @@ def ggp(
         :func:`repro.core.oggp.oggp` for that).  All three produce valid
         2-approximations.
     engine:
-        Peeling engine (see :func:`repro.core.wrgp.peel_weight_regular`
-        and :func:`repro.core.wrgp.peel_rounds`):
+        Peeling engine (see :func:`repro.core.wrgp.peel_weight_regular`):
         ``'fast'`` (warm-started, default; ``'vector'`` names the same
         code), ``'approx'`` (Etzold sparsification — fastest,
         near-optimal matchings, still a valid 2-approximation), or
@@ -111,7 +109,7 @@ def ggp(
             for eid, left, right, _w, kind in j.iter_edge_data()
             if kind is EdgeKind.ORIGINAL
         }
-        rounds = peel_rounds(j, matching=matching, engine=engine)
+        rounds = peel_weight_regular(j, matching=matching, engine=engine)
         with obs.phase("ggp.peel"):
             for eids, peel in rounds:
                 peels += 1

@@ -19,12 +19,13 @@ Implementation notes
 - ``matching='bottleneck'`` swaps in the max-min-weight perfect matching
   (paper Figure 6) — this is the only difference between GGP and OGGP.
 - The matchings are computed by warm-started peeler engines
-  (:mod:`repro.matching.peeler`) that persist sorted indices, node
-  maps, and matrix state across peels.  ``engine='fast'`` (default;
-  ``'vector'`` names the same code) produces matchings identical to the
-  stateless routines; ``engine='approx'`` trades that identity for
-  speed on the largest graphs; ``engine='reference'`` is the retained
-  stateless path used as the equivalence oracle in tests.
+  (:mod:`repro.matching.peeler`) that read the graph once, own its
+  weights and persist sorted indices, node maps, and matrix state
+  across peels.  ``engine='fast'`` (default; ``'vector'`` names the
+  same code) produces matchings identical to the stateless routines;
+  ``engine='approx'`` trades that identity for speed on the largest
+  graphs; ``engine='reference'`` is the retained stateless path used
+  as the equivalence oracle in tests.
 - The ``'arbitrary'`` strategy recomputes its perfect matching
   *incrementally* in every engine: the previous matching minus its
   exhausted edges is a near-perfect matching of the peeled graph, so
@@ -43,7 +44,7 @@ from repro.matching.bottleneck import bottleneck_matching
 from repro.matching.hopcroft_karp import hopcroft_karp
 from repro.matching.hungarian import hungarian_perfect_matching
 from repro.matching.peeler import BottleneckPeeler, HungarianPeeler
-from repro.matching.vector import ApproxBottleneckPeeler, ApproxPeelCore
+from repro.matching.vector import ApproxBottleneckPeeler
 # Not called here: the benchmark tracer patches this name in this module.
 from repro.matching.vector import hopcroft_karp_vec  # noqa: F401
 from repro.util.errors import ConfigError, GraphError, MatchingError
@@ -82,12 +83,22 @@ def peel_weight_regular(
     graph: BipartiteGraph,
     matching: MatchingStrategy = "arbitrary",
     engine: PeelEngine = "fast",
-) -> Iterator[tuple[Matching, Number]]:
-    """Destructively peel ``graph``; yields ``(matching, peel_amount)`` pairs.
+) -> Iterator[tuple[list[int], Number]]:
+    """Peel ``graph`` as rounds of ``(matched edge ids, peel amount)``.
 
-    ``graph`` must be weight-regular and is consumed in place.  The
-    yielded matchings hold edge snapshots *before* the peel, so their
-    weights are the pre-peel remaining weights.
+    ``graph`` must be weight-regular.  This is the one round source of
+    :func:`wrgp`, GGP/OGGP and :mod:`repro.core.bvn`.  Except under
+    ``'reference'``, ``'bottleneck'`` and ``'max_weight'`` run on an
+    array peeler that reads ``graph`` once and owns its weights, so no
+    per-round ``Matching``/``Edge`` is built and ``graph`` is left
+    untouched (:class:`~repro.matching.vector.BottleneckPeeler`, under
+    ``'approx'`` :class:`~repro.matching.vector.ApproxBottleneckPeeler`
+    with ids in left-node order, and
+    :class:`~repro.matching.peeler.HungarianPeeler`).  ``'reference'``
+    and ``'arbitrary'`` run the stateless matchings on ``graph`` and
+    consume it, peeling each round before it is yielded.  Ids ascend
+    unless noted.  Posts the ``wrgp.*`` metrics and ``peel.progress``
+    events.
 
     An unrecognised ``engine`` raises :class:`ConfigError` (a
     :class:`ValueError`) listing the valid engines — eagerly, at call
@@ -117,48 +128,52 @@ def _peel_weight_regular(
     graph: BipartiteGraph,
     matching: MatchingStrategy,
     engine: PeelEngine,
-) -> Iterator[tuple[Matching, Number]]:
-    previous: Matching | None = None
+) -> Iterator[tuple[list[int], Number]]:
     _check_square(graph)
-    size = graph.num_left
-    bottleneck_peeler: BottleneckPeeler | ApproxBottleneckPeeler | None = None
-    hungarian_peeler: HungarianPeeler | None = None
+    peeler: BottleneckPeeler | ApproxBottleneckPeeler | HungarianPeeler | None
+    peeler = None
     if engine != "reference" and not graph.is_empty():
         if matching == "bottleneck":
-            if engine == "approx":
-                bottleneck_peeler = ApproxBottleneckPeeler(graph)
-            else:
-                bottleneck_peeler = BottleneckPeeler(graph)
+            approx = engine == "approx"
+            peeler = (ApproxBottleneckPeeler if approx else BottleneckPeeler)(graph)
         elif matching == "max_weight":
             # The Hungarian peeler's hot loop is already a dense numpy
             # solve; 'approx' shares it.
-            hungarian_peeler = HungarianPeeler(graph)
+            peeler = HungarianPeeler(graph)
     metrics = obs.metrics()
     peel_counter = metrics.counter("wrgp.peels")
     peel_sizes = metrics.histogram("wrgp.peel_size")
+    previous: Matching | None = None
     peels_here = 0
-    while not graph.is_empty():
-        peel: Number | None = None
-        if bottleneck_peeler is not None:
-            m = bottleneck_peeler.next_matching()
-        elif hungarian_peeler is not None:
-            eids, peel = hungarian_peeler.next_matching()
-            m = Matching(map(graph.edge, eids))
-        elif matching == "bottleneck":
-            m = bottleneck_matching(graph, require="perfect")
-        elif matching == "max_weight":
-            m = hungarian_perfect_matching(graph)
+    while True:
+        # ``live`` is the edge count before this round's peel.
+        if peeler is not None:
+            live = peeler.live
+            if not live:
+                return
+            eids, peel = peeler.next_matching()
         else:
-            # The warm dict Hopcroft–Karp under every engine: with a
-            # few augmentations per peel, the array form is slower here.
-            m = hopcroft_karp(graph, initial=previous)
-            if len(m) != size:
-                raise MatchingError(
-                    "no perfect matching found — input graph was not "
-                    "weight-regular (peeling would preserve regularity)"
-                )
-        if peel is None:
+            live = graph.num_edges
+            if not live:
+                return
+            if matching == "bottleneck":
+                m = bottleneck_matching(graph, require="perfect")
+            elif matching == "max_weight":
+                m = hungarian_perfect_matching(graph)
+            else:
+                # The warm dict Hopcroft–Karp under every engine: with a
+                # few augmentations per peel, the array form is slower.
+                m = hopcroft_karp(graph, initial=previous)
+                if len(m) != graph.num_left:
+                    raise MatchingError(
+                        "no perfect matching found — input graph was not "
+                        "weight-regular (peeling would preserve regularity)"
+                    )
+            previous = m
             peel = m.min_weight()
+            eids = [edge.id for edge in m.edges()]
+            for eid in eids:
+                graph.peel_weight(eid, peel)
         if peel <= 0:  # pragma: no cover - positive weights guarantee this
             raise GraphError(f"non-positive peel amount {peel!r}")
         peel_counter.inc()
@@ -167,87 +182,6 @@ def _peel_weight_regular(
         if peels_here % 64 == 0:
             # Coarse progress beacon for long peeling loops; the event
             # ring is bounded, so a fixed stride keeps the volume sane.
-            obs.emit(
-                "peel.progress",
-                peels=peels_here,
-                remaining_edges=graph.num_edges,
-            )
-        yield m, peel
-        for edge in m.edges():
-            graph.peel_weight(edge.id, peel)
-        previous = m
-
-
-def peel_rounds(
-    graph: BipartiteGraph,
-    matching: MatchingStrategy = "arbitrary",
-    engine: PeelEngine = "fast",
-) -> Iterator[tuple[list[int], Number]]:
-    """Peel ``graph`` as rounds of ``(matched edge ids, peel amount)``.
-
-    GGP's round source.  Two strategies run on array cores that own
-    their weights — no per-peel ``Matching``/``Edge`` objects and no
-    graph mutation, which is what lets ``'approx'`` reach ``max_side``
-    ≈ 1000:
-
-    - ``'max_weight'`` under every engine but ``'reference'``:
-      :class:`~repro.matching.peeler.HungarianPeeler`, bit-identical to
-      the stateless path (ids ascending);
-    - ``'bottleneck'`` under ``'approx'``:
-      :class:`~repro.matching.vector.ApproxPeelCore` (ids in left-node
-      order; it needs exact, normalised weights for its countdown).
-
-    Every other strategy adapts :func:`peel_weight_regular`, which
-    consumes ``graph``.  Like it, posts the ``wrgp.*`` metrics and
-    ``peel.progress`` events and rejects an unknown ``engine`` at call
-    time.
-    """
-    _check_engine(engine)
-    return _peel_rounds(graph, matching, engine)
-
-
-def _peel_rounds(
-    graph: BipartiteGraph,
-    matching: MatchingStrategy,
-    engine: PeelEngine,
-) -> Iterator[tuple[list[int], Number]]:
-    _check_square(graph)
-    hungarian = approx = None
-    if engine != "reference" and not graph.is_empty():
-        if matching == "max_weight":
-            hungarian = HungarianPeeler(graph)
-        elif matching == "bottleneck" and engine == "approx":
-            approx = ApproxPeelCore(graph)
-    if hungarian is None and approx is None:
-        for m, peel in peel_weight_regular(graph, matching=matching, engine=engine):
-            yield [e.id for e in m.edges()], peel
-        return
-    metrics = obs.metrics()
-    peel_counter = metrics.counter("wrgp.peels")
-    peel_sizes = metrics.histogram("wrgp.peel_size")
-    if approx is not None:
-        calls = metrics.counter("matching.bottleneck.calls")
-        probe_counter = metrics.counter("matching.bottleneck.threshold_probes")
-    peels_here = 0
-    while True:
-        # ``live`` is the edge count before this round's peel, as
-        # ``graph.num_edges`` is in the generic loop's progress beacon.
-        if hungarian is not None:
-            live = hungarian.live
-            if not live:
-                return
-            eids, peel = hungarian.next_matching()
-        else:
-            if approx.remaining <= 0:
-                return
-            eids, peel, probes = approx.next_round()
-            live = approx.live
-            calls.inc()
-            probe_counter.inc(probes)
-        peel_counter.inc()
-        peel_sizes.observe(float(peel))
-        peels_here += 1
-        if peels_here % 64 == 0:
             obs.emit("peel.progress", peels=peels_here, remaining_edges=live)
         yield eids, peel
 
@@ -274,18 +208,20 @@ def wrgp(
     work = graph.copy()
     work.remove_isolated_nodes()
     k = max(1, min(work.num_left, work.num_right))
+    # The rounds may consume ``work``, so the endpoints are read first.
+    endpoints = {
+        eid: (left, right) for eid, left, right, _w, _kind in work.iter_edge_data()
+    }
     steps = []
     with obs.phase(
         "wrgp", edges=work.num_edges, matching=matching, beta=beta
     ) as root:
-        for m, peel in peel_weight_regular(work, matching=matching, engine=engine):
+        for eids, peel in peel_weight_regular(work, matching=matching, engine=engine):
+            amount = float(peel)
             steps.append(
                 Step(
-                    (
-                        Transfer(e.id, e.left, e.right, float(peel))
-                        for e in m.edges()
-                    ),
-                    duration=float(peel),
+                    (Transfer(eid, *endpoints[eid], amount) for eid in eids),
+                    duration=amount,
                 )
             )
         root.set(steps=len(steps))

@@ -5,13 +5,13 @@ implemented from scratch): generator *processes* yield *events*; the
 :class:`Environment` advances a virtual clock through a priority queue
 of scheduled events.
 
-Used by :mod:`repro.netsim` to execute redistribution schedules with
-barrier-synchronised communication steps, mirroring the paper's MPI
-implementation structure.
+Used by :mod:`repro.netsim`'s packet-level simulator
+(:mod:`~repro.netsim.packetsim`) and its barrier-free asynchronous
+executor (:mod:`~repro.netsim.async_exec`).
 """
 
 from repro.des.core import Environment, Event, Timeout, Process, AllOf, AnyOf
-from repro.des.resources import Resource, Store, Barrier
+from repro.des.resources import Resource, Store
 
 __all__ = [
     "Environment",
@@ -22,5 +22,4 @@ __all__ = [
     "AnyOf",
     "Resource",
     "Store",
-    "Barrier",
 ]

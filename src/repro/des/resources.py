@@ -1,4 +1,4 @@
-"""Shared resources for the DES kernel: Resource, Store, Barrier."""
+"""Shared resources for the DES kernel: Resource, Store."""
 
 from __future__ import annotations
 
@@ -87,31 +87,3 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
-
-class Barrier:
-    """Cyclic barrier for ``parties`` processes.
-
-    ``wait()`` returns an event that fires once all parties have called
-    ``wait()`` for the current generation — the synchronisation
-    primitive between the paper's communication steps.
-    """
-
-    def __init__(self, env: Environment, parties: int) -> None:
-        if parties < 1:
-            raise SimulationError(f"parties must be >= 1, got {parties}")
-        self.env = env
-        self.parties = parties
-        self._arrived: list[Event] = []
-        self.generation = 0
-
-    def wait(self) -> Event:
-        """Event that fires (with the generation number) when all arrive."""
-        ev = self.env.event()
-        self._arrived.append(ev)
-        if len(self._arrived) == self.parties:
-            waiters, self._arrived = self._arrived, []
-            gen = self.generation
-            self.generation += 1
-            for w in waiters:
-                w.succeed(gen)
-        return ev

@@ -9,17 +9,17 @@
 - :func:`greedy_matching` — fast maximal (not maximum) matching used as
   a baseline and as a warm-start seed.
 - :class:`BottleneckPeeler` / :class:`HungarianPeeler` — warm-started
-  engines that keep sorted indices, node maps and matrix state alive
-  across the WRGP/GGP/OGGP peeling loops (the Hungarian one also owns
-  its weights and yields ``(edge ids, peel)`` rounds).  The bottleneck
-  one is the only exact OGGP peeler (``engine='fast'``, alias
-  ``'vector'``): the int-array threshold sweep with exact probe
-  skipping, bit-identical to the stateless path.
+  engines that read the graph once, own its weights and keep sorted
+  indices, node maps and matrix state alive across the WRGP/GGP/OGGP
+  peeling loops; each ``next_matching()`` is one ``(edge ids, peel)``
+  round.  The bottleneck one is the only exact OGGP peeler
+  (``engine='fast'``, alias ``'vector'``): the int-array threshold
+  sweep with exact probe skipping, bit-identical to the stateless path.
 - :func:`hopcroft_karp_vec` — the int-array Hopcroft–Karp,
   bit-identical to :func:`hopcroft_karp`.
-- :class:`ApproxBottleneckPeeler` / :class:`ApproxPeelCore` — the
-  Etzold-sparsified approximate engine (``engine='approx'``) for the
-  largest graphs.
+- :class:`ApproxBottleneckPeeler` — the Etzold-sparsified approximate
+  engine (``engine='approx'``) for the largest graphs, with the same
+  round protocol.
 - :class:`VectorBottleneckPeeler` — the former ``'vector'`` class name,
   now a subclass of :class:`BottleneckPeeler` that no engine builds.
 """
@@ -33,7 +33,6 @@ from repro.matching.hungarian import hungarian_perfect_matching
 from repro.matching.edge_coloring import koenig_edge_coloring
 from repro.matching.vector import (
     ApproxBottleneckPeeler,
-    ApproxPeelCore,
     VectorBottleneckPeeler,
     hopcroft_karp_vec,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "HungarianPeeler",
     "VectorBottleneckPeeler",
     "ApproxBottleneckPeeler",
-    "ApproxPeelCore",
     "greedy_matching",
     "hungarian_perfect_matching",
     "koenig_edge_coloring",

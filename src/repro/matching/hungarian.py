@@ -60,7 +60,7 @@ def hungarian_perfect_matching(graph: BipartiteGraph) -> Matching:
         return Matching()
     n = len(lefts)
     metrics.histogram("matching.hungarian.size").observe(n)
-    with metrics.timer("matching.hungarian"), obs.span("matching.hungarian", n=n):
+    with obs.phase("matching.hungarian", n=n):
         left_pos = {node: i for i, node in enumerate(lefts)}
         right_pos = {node: j for j, node in enumerate(rights)}
 

@@ -6,22 +6,23 @@ of the ``n`` matched edges and deletes the exhausted ones.  The
 stateless routines (:func:`repro.matching.bottleneck.bottleneck_matching`,
 :func:`repro.matching.hungarian.hungarian_perfect_matching`) rebuild
 everything from scratch per call — a full edge sort, a fresh adjacency,
-a matching regrown from empty.  The peeler classes persist that state
-across peels and return the same matchings:
+a matching regrown from empty.  The peeler classes read the graph once
+into arrays they own, apply each peel to those arrays themselves, and
+return the same matchings as rounds ``(matched edge ids, peel)`` with
+no ``Edge``/``Matching`` built and the graph never touched; ``live``
+counts the edges with weight left.
 
-- :class:`BottleneckPeeler` keeps the descending weight-class index (a
-  sorted array, repaired incrementally — only the peeled edges move)
-  and the dense node indexing, and re-runs the threshold sweep from the
-  top class each peel on the int-array matcher.  It lives in
+- :class:`BottleneckPeeler` keeps exact per-edge weights, the
+  descending weight-class index (a sorted array, repaired
+  incrementally — only the peeled edges move) and the dense node
+  indexing, and re-runs the threshold sweep from the top class each
+  peel on the int-array matcher.  It lives in
   :mod:`repro.matching.vector` beside that matcher and is re-exported
   here.
-- :class:`HungarianPeeler` snapshots the graph into arrays it owns —
-  exact per-edge weights, the dense score matrix and the per-cell
-  best-parallel-edge table — and applies each peel to them itself, so
-  a round is ``(matched edge ids, peel)`` with no ``Edge``/``Matching``
-  built and no graph read.  The assignment solve sees a matrix
-  identical to the one the stateless path would build, so its
-  matchings are unchanged.
+- :class:`HungarianPeeler` keeps exact per-edge weights, the dense
+  score matrix and the per-cell best-parallel-edge table.  The
+  assignment solve sees a matrix identical to the one the stateless
+  path would build, so its matchings are unchanged.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from repro import obs
 from repro.graph.bipartite import BipartiteGraph, Number
-from repro.matching.vector import BottleneckPeeler
+from repro.matching.vector import BottleneckPeeler, _read_square
 from repro.util.errors import MatchingError
 
 __all__ = ["BottleneckPeeler", "HungarianPeeler"]
@@ -55,22 +56,12 @@ class HungarianPeeler:
     """
 
     def __init__(self, graph: BipartiteGraph) -> None:
-        lefts = graph.left_nodes()
-        rights = graph.right_nodes()
-        if len(lefts) != len(rights):
-            raise MatchingError(
-                f"perfect matching impossible: {len(lefts)} left vs "
-                f"{len(rights)} right nodes"
-            )
-        self._n = n = len(lefts)
-        row = {node: i * n for i, node in enumerate(lefts)}
-        col = {node: j for j, node in enumerate(rights)}
-        self._w: list[Number] = [0] * (max(graph.edge_ids(), default=-1) + 1)
-        w = self._w
+        n, el, er, w = _read_square(graph)
+        self._n, self._w = n, w
         by_cell: dict[int, list[int]] = {}
-        for eid, left, right, weight, _kind in graph.iter_edge_data():
-            w[eid] = weight
-            by_cell.setdefault(row[left] + col[right], []).append(eid)
+        for eid, weight in enumerate(w):
+            if weight:
+                by_cell.setdefault(el[eid] * n + er[eid], []).append(eid)
         #: Edges with weight left, and their exact total weight.
         self.live = graph.num_edges
         self.remaining: Number = graph.total_weight()

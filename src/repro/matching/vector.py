@@ -17,14 +17,19 @@ lists: a FIFO BFS layering and a pointer-form augmenting DFS):
   skips the terminating failed BFS once a probe's batch is provably
   exhausted (both argued inline in :func:`_vector_sweep` /
   :meth:`_ArrayMatcher.augment_to_max`).
-- :class:`ApproxPeelCore` / :class:`ApproxBottleneckPeeler` — the
-  ``engine='approx'`` peeler: Etzold's dense-graph sparsification
-  (arXiv cs/0306123 — keep only each node's heaviest few incident
-  edges as matching candidates, growing the candidate set on demand)
-  combined with a matching that persists across peels.  Schedules
-  remain *valid* 2-approximations (every peeled matching is perfect, so
-  any run is a legal GGP run), but are no longer bit-identical to the
-  exact engines; the measured quality delta is reported by the bench.
+- :class:`ApproxBottleneckPeeler` — the ``engine='approx'`` peeler:
+  Etzold's dense-graph sparsification (arXiv cs/0306123 — keep only
+  each node's heaviest few incident edges as matching candidates,
+  growing the candidate set on demand) combined with a matching that
+  persists across peels.  Schedules remain *valid* 2-approximations
+  (every peeled matching is perfect, so any run is a legal GGP run),
+  but are no longer bit-identical to the exact engines; the measured
+  quality delta is reported by the bench.
+
+Both peelers read the graph once (:func:`_read_square`) and own their
+weights: each ``next_matching()`` is one WRGP round, ``(matched edge
+ids, peel)``, applied to the peeler's arrays, never to the graph;
+``live`` counts the edges with weight left.
 
 Why the sweep can skip threshold probes *exactly*
 -------------------------------------------------
@@ -64,7 +69,6 @@ __all__ = [
     "hopcroft_karp_vec",
     "BottleneckPeeler",
     "VectorBottleneckPeeler",
-    "ApproxPeelCore",
     "ApproxBottleneckPeeler",
     "APPROX_DEGREE",
 ]
@@ -465,6 +469,35 @@ class _ArrayMatcher:
         self.reach_stale = False
 
 
+def _read_square(
+    graph: BipartiteGraph,
+) -> tuple[int, list[int], list[int], list[Number]]:
+    """``(n, el, er, w)``: dense endpoints and exact weight per edge id.
+
+    Read once by the peelers, which own ``w`` from then on; unused ids
+    hold weight 0.  Raises :class:`MatchingError` unless the graph is
+    square.
+    """
+    lefts = graph.left_nodes()
+    rights = graph.right_nodes()
+    if len(lefts) != len(rights):
+        raise MatchingError(
+            f"perfect matching impossible: {len(lefts)} left vs "
+            f"{len(rights)} right nodes"
+        )
+    lidx = {node: i for i, node in enumerate(lefts)}
+    ridx = {node: j for j, node in enumerate(rights)}
+    size = max(graph.edge_ids(), default=-1) + 1
+    el = [0] * size
+    er = [0] * size
+    w: list[Number] = [0] * size
+    for eid, left, right, weight, _kind in graph.iter_edge_data():
+        el[eid] = lidx[left]
+        er[eid] = ridx[right]
+        w[eid] = weight
+    return len(lefts), el, er, w
+
+
 # ---------------------------------------------------------------------
 # Standalone maximum-cardinality matching
 # ---------------------------------------------------------------------
@@ -633,81 +666,53 @@ def _vector_sweep(
 
 
 class BottleneckPeeler:
-    """Warm-started bottleneck perfect matchings (``fast``, ``vector``).
+    """Bottleneck perfect-matching rounds over weights the peeler owns.
 
-    Finds, per call, a perfect matching whose minimum edge weight is
-    maximum (paper Figure 6) — the same matching as
-    :func:`~repro.matching.bottleneck.bottleneck_matching` with
-    ``require='perfect'`` on the graph's current state, edge for edge.
-    What persists across peels is the descending weight-class index (a
-    sorted ``(-weight, id)`` list; only the peeled edges move, each by
-    bisect), the dense node indexing and the :class:`_ArrayMatcher`
-    scratch state.  Each call regrows the matching from empty with
-    :func:`_vector_sweep`, which is what keeps it faithful to the
-    stateless sweep while exact probe skipping drops the unproductive
-    Hopcroft–Karp runs.
-
-    Contract: between two :meth:`next_matching` calls, only the edges of
-    the previously returned matching may change (the WRGP peel
-    invariant).
+    Equivalent to peeling with
+    :func:`~repro.matching.bottleneck.bottleneck_matching`
+    (``require='perfect'``, paper Figure 6) every round, edge for edge.
+    The graph is read once into exact weights (any number type) and a
+    descending weight-class index, a sorted ``(-weight, id)`` list.
+    :meth:`next_matching` regrows the matching from empty with
+    :func:`_vector_sweep` — faithful to the stateless sweep, with exact
+    probe skipping — then peels the matched edges' weights and moves
+    their index keys, each by bisect.
     """
 
     def __init__(self, graph: BipartiteGraph) -> None:
-        if graph.num_left != graph.num_right:
-            raise MatchingError(
-                f"perfect matching impossible: {graph.num_left} left vs "
-                f"{graph.num_right} right nodes"
-            )
-        self.graph = graph
-        lidx = {node: i for i, node in enumerate(graph.left_nodes())}
-        ridx = {node: j for j, node in enumerate(graph.right_nodes())}
-        self._n = n = len(lidx)
-        size = max(graph.edge_ids(), default=-1) + 1
-        el = [0] * size
-        er = [0] * size
-        order = []
-        for eid, left, right, weight, _kind in graph.iter_edge_data():
-            el[eid] = lidx[left]
-            er[eid] = ridx[right]
-            order.append((-weight, eid))
-        order.sort()
+        self._n, el, er, self._w = _read_square(graph)
         #: Descending weight-class index: ascending ``(-weight, id)``.
-        self._order = order
-        self._matcher = _ArrayMatcher(n, n, el, er)
-        #: (edge id, weight at yield) of the last returned matching.
-        self._last: list[tuple[int, Number]] = []
+        self._order = sorted((-w, eid) for eid, w in enumerate(self._w) if w)
+        #: Edges with weight left.
+        self.live = len(self._order)
+        self._matcher = _ArrayMatcher(self._n, self._n, el, er)
 
-    def _refresh_order(self) -> None:
-        """Repair the sorted class index after the last peel.
+    def next_matching(self) -> tuple[list[int], Number]:
+        """One peel round: ``(sorted matched edge ids, peel amount)``.
 
-        Only the previously matched edges changed weight, so each one is
-        located by its recorded key (binary search), removed, and
-        re-inserted at its new position — or dropped when exhausted.
-        """
-        order = self._order
-        graph = self.graph
-        for eid, old_w in self._last:
-            old_key = (-old_w, eid)
-            pos = bisect_left(order, old_key)
-            if pos < len(order) and order[pos] == old_key:
-                del order[pos]
-            if graph.has_edge_id(eid):
-                insort(order, (-graph.edge_weight(eid), eid))
-
-    def next_matching(self) -> Matching:
-        """Bottleneck-optimal perfect matching of the graph's current state.
-
+        Finds the bottleneck-optimal perfect matching of the remaining
+        weights, then peels its minimum weight off every matched edge.
         Raises :class:`MatchingError` when no perfect matching exists.
         """
-        self._refresh_order()
         matcher = self._matcher
         matcher.reset_matching()
         probes, skipped, phases, augmented = _vector_sweep(
             matcher, self._order, self._n
         )
-        graph = self.graph
-        edges = [graph.edge(eid) for eid in matcher.match_l]
-        self._last = [(e.id, e.weight) for e in edges]
+        eids = matcher.match_l
+        w = self._w
+        # Left-node order, like ``Matching.min_weight`` of the stateless
+        # result: with mixed int/float weights a tie keeps the same type.
+        peel = min(map(w.__getitem__, eids))
+        order = self._order
+        for eid in eids:
+            rest = w[eid] - peel
+            del order[bisect_left(order, (-w[eid], eid))]
+            w[eid] = rest
+            if rest:
+                insort(order, (-rest, eid))
+            else:
+                self.live -= 1
         metrics = obs.metrics()
         metrics.counter("matching.hk.bfs_phases").inc(phases)
         metrics.counter("matching.hk.augmenting_paths").inc(augmented)
@@ -715,7 +720,7 @@ class BottleneckPeeler:
         metrics.counter("matching.bottleneck.threshold_probes").inc(probes)
         if skipped:
             metrics.counter("matching.bottleneck.skipped_probes").inc(skipped)
-        return Matching(edges)
+        return sorted(eids), peel
 
 
 class VectorBottleneckPeeler(BottleneckPeeler):
@@ -736,22 +741,18 @@ class VectorBottleneckPeeler(BottleneckPeeler):
 # ---------------------------------------------------------------------
 
 
-class ApproxPeelCore:
-    """Array-based sparsified persistent peeling of a weight-regular graph.
+class ApproxBottleneckPeeler:
+    """Near-bottleneck perfect-matching rounds (``engine='approx'``).
 
-    Implements the ``engine='approx'`` strategy: Etzold's reduction of
-    dense bipartite graphs to sparse candidate subgraphs (each node
-    exposes only its ``degree`` heaviest live incident edges to the
-    matcher), combined with persistence across peels (the matching and
-    admitted set survive; only exhausted or under-threshold edges are
-    evicted and re-augmented, resuming the threshold sweep from the
-    last bottleneck value, which never increases across peels).
-
-    The core owns its own weight array and never touches the source
-    graph after construction, so the GGP fast path can peel 10–100×
-    larger instances without materialising per-peel ``Edge``/
-    ``Matching`` objects; :class:`ApproxBottleneckPeeler` adapts it to
-    the generic ``peel_weight_regular`` protocol.
+    Etzold's reduction of dense bipartite graphs to sparse candidate
+    subgraphs (each node exposes only its :data:`APPROX_DEGREE`
+    heaviest live incident edges to the matcher), combined with
+    persistence across peels (the matching and admitted set survive;
+    only exhausted or under-threshold edges are evicted and
+    re-augmented, resuming the threshold sweep from the last bottleneck
+    value, which never increases across peels).  Like the exact peelers
+    it reads the graph once and owns its weights, so no per-peel
+    ``Edge``/``Matching`` is built and the graph is never touched.
 
     Validity: every round ends with a *perfect* matching (when the
     candidate pool runs dry, one more edge per node is promoted and the
@@ -762,40 +763,17 @@ class ApproxPeelCore:
     merely near-optimal, which is the measured quality delta.
     """
 
-    def __init__(self, graph: BipartiteGraph, degree: int = APPROX_DEGREE) -> None:
-        if degree < 1:
-            raise MatchingError(f"approx degree must be >= 1, got {degree}")
-        lefts = graph.left_nodes()
-        rights = graph.right_nodes()
-        if len(lefts) != len(rights):
-            raise MatchingError(
-                f"perfect matching impossible: {len(lefts)} left vs "
-                f"{len(rights)} right nodes"
-            )
-        self._n = n = len(lefts)
-        lidx = {node: i for i, node in enumerate(lefts)}
-        ridx = {node: j for j, node in enumerate(rights)}
-        size = max(graph.edge_ids(), default=-1) + 1
-        self._el = el = [0] * size
-        self._er = er = [0] * size
-        self._w: list[Number] = [0] * size
-        w = self._w
+    def __init__(self, graph: BipartiteGraph) -> None:
+        n, el, er, w = _read_square(graph)
+        self._n, self._el, self._er, self._w = n, el, er, w
         llists: list[list[int]] = [[] for _ in range(n)]
         rlists: list[list[int]] = [[] for _ in range(n)]
-        count = 0
-        for eid, left, right, weight, _kind in graph.iter_edge_data():
-            li = lidx[left]
-            rj = ridx[right]
-            el[eid] = li
-            er[eid] = rj
-            w[eid] = weight
-            llists[li].append(eid)
-            rlists[rj].append(eid)
-            count += 1
-        self.live = count
-        #: Total un-peeled weight; exact for integer (normalised)
-        #: weights, so drivers can loop ``while core.remaining > 0``.
-        self.remaining: Number = sum(w[eid] for lst in llists for eid in lst)
+        for eid, weight in enumerate(w):
+            if weight:
+                llists[el[eid]].append(eid)
+                rlists[er[eid]].append(eid)
+        #: Edges with weight left.
+        self.live = graph.num_edges
         # Per-node candidate order: heaviest first, ids ascending on
         # ties — frozen at the initial weights (matched candidates drift
         # down as they are peeled; re-sorting would cost more than the
@@ -808,18 +786,22 @@ class ApproxPeelCore:
         self._rlists = rlists
         self._lp = [0] * n
         self._rp = [0] * n
-        self._promoted = bytearray(size)
+        self._promoted = bytearray(len(w))
         self._pending: list[tuple[Number, int]] = []
         self._matcher = _ArrayMatcher(n, n, el, er)
         for i in range(n):
-            for _ in range(degree):
+            for _ in range(APPROX_DEGREE):
                 self._promote_next(llists, self._lp, i)
         for j in range(n):
-            for _ in range(degree):
+            for _ in range(APPROX_DEGREE):
                 self._promote_next(rlists, self._rp, j)
-        self._threshold: Number | None = None
-        self._last: list[int] = []
-        self._last_peel: Number = 0
+        #: Lowest admitted weight class; the first round's sweep sets it.
+        self._threshold: Number = 0
+        # Exposed lefts for the next round's Kuhn repair (None: scan
+        # all).  A round ends with a perfect matching, so after its
+        # evictions the exposed lefts are exactly the evicted endpoints
+        # — no need to rediscover them by scanning all n roots.
+        self._roots: list[int] | None = None
 
     def _promote_next(self, lists: list[list[int]], ptrs: list[int], i: int) -> bool:
         """Promote node ``i``'s next live unpromoted candidate, if any.
@@ -854,48 +836,21 @@ class ApproxPeelCore:
                     count += 1
         return count
 
-    def next_round(self) -> tuple[list[int], Number, int]:
-        """One peel round: ``(matched edge ids, peel amount, probes)``.
+    def next_matching(self) -> tuple[list[int], Number]:
+        """One peel round: ``(matched edge ids in left-node order, peel)``.
 
-        Applies the previous round's peel to the internal weights
-        first, then evicts stale admitted edges (the matching persists) and
-        sweeps the pending candidates until the matching is perfect.
+        Repairs the persisted matching and sweeps the pending
+        candidates until it is perfect, then peels its minimum weight
+        off every matched edge and evicts the exhausted and
+        under-threshold ones, so :attr:`live` is exact between rounds.
         Raises :class:`MatchingError` if no perfect matching exists
         even with every edge promoted.
         """
         matcher = self._matcher
-        w = self._w
         pending = self._pending
-        # Exposed lefts for the Kuhn repair below.  The previous round
-        # ended with a perfect matching, so after the eviction pass the
-        # exposed lefts are exactly the evicted endpoints — no need to
-        # rediscover them by scanning all n roots every repair round.
-        roots: list[int] | None = None
-        if self._last:
-            peel = self._last_peel
-            threshold = self._threshold
-            el = self._el
-            er = self._er
-            llists, lp = self._llists, self._lp
-            rlists, rp = self._rlists, self._rp
-            roots = []
-            for eid in self._last:
-                nw = w[eid] - peel
-                w[eid] = nw
-                if nw > 0 and (threshold is None or nw >= threshold):
-                    continue
-                matcher.evict(eid)
-                roots.append(el[eid])
-                if nw > 0:
-                    heapq.heappush(pending, (-nw, eid))
-                else:
-                    self.live -= 1
-                    # Etzold degree repair: a dead candidate frees a
-                    # slot at both endpoints.
-                    self._promote_next(llists, lp, el[eid])
-                    self._promote_next(rlists, rp, er[eid])
+        roots = self._roots
         target = self._n
-        probes = 0
+        probes = phases = augmented = 0
         while matcher.matched < target:
             # Repair: Hopcroft–Karp phases batch many augmenting paths
             # when many matches are missing (round one, mass evictions);
@@ -908,12 +863,15 @@ class ApproxPeelCore:
                 # limit lets a full repair skip the terminating failed
                 # BFS; a partial repair still ends with one, refreshing
                 # reach_dist before may_augment consults it.
-                matcher.augment_to_max(limit=target - matcher.matched)
+                p, a = matcher.augment_to_max(limit=target - matcher.matched)
+                phases += p
+                augmented += a
                 roots = None
                 if matcher.matched == target:
                     break
             else:
-                _aug, stuck = matcher.kuhn_round(roots)
+                a, stuck = matcher.kuhn_round(roots)
+                augmented += a
                 if matcher.matched == target:
                     break
                 matcher.kuhn_reach_sweep(stuck)
@@ -938,30 +896,32 @@ class ApproxPeelCore:
                 if matcher.may_augment(batch):
                     break
         matched = matcher.match_l.copy()
+        w = self._w
         peel = min(map(w.__getitem__, matched))
-        self._last = matched
-        self._last_peel = peel
-        self.remaining -= peel * self._n
-        return matched, peel, probes
-
-
-class ApproxBottleneckPeeler:
-    """``peel_weight_regular`` adapter around :class:`ApproxPeelCore`.
-
-    Presents the same ``next_matching()`` protocol as the exact
-    peelers; the generic peel loop applies the peel to the shared
-    graph, and the core mirrors it internally on the next call.
-    """
-
-    def __init__(self, graph: BipartiteGraph, degree: int = APPROX_DEGREE) -> None:
-        self.graph = graph
-        self._core = ApproxPeelCore(graph, degree=degree)
-
-    def next_matching(self) -> Matching:
-        """Near-bottleneck-optimal perfect matching of the current state."""
-        matched, _peel, probes = self._core.next_round()
-        graph = self.graph
+        # Apply the peel; evict the edges it exhausted or took below
+        # the (positive) admission threshold.
+        threshold = self._threshold
+        el = self._el
+        roots = []
+        for eid in matched:
+            nw = w[eid] - peel
+            w[eid] = nw
+            if nw >= threshold:
+                continue
+            matcher.evict(eid)
+            roots.append(el[eid])
+            if nw > 0:
+                heapq.heappush(pending, (-nw, eid))
+            else:
+                self.live -= 1
+                # Etzold degree repair: a dead candidate frees a
+                # slot at both endpoints.
+                self._promote_next(self._llists, self._lp, el[eid])
+                self._promote_next(self._rlists, self._rp, self._er[eid])
+        self._roots = roots
         metrics = obs.metrics()
+        metrics.counter("matching.hk.bfs_phases").inc(phases)
+        metrics.counter("matching.hk.augmenting_paths").inc(augmented)
         metrics.counter("matching.bottleneck.calls").inc()
         metrics.counter("matching.bottleneck.threshold_probes").inc(probes)
-        return Matching(graph.edge(eid) for eid in matched)
+        return matched, peel

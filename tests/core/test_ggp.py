@@ -1,12 +1,17 @@
 """Tests for GGP — validity, approximation guarantee, realisation."""
 
+import importlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.bounds import lower_bound
 from repro.core.ggp import ggp
+from repro.core.oggp import oggp
 from repro.graph.bipartite import BipartiteGraph
+from repro.graph.generators import random_bipartite
 from repro.util.errors import ConfigError
 from tests.conftest import bipartite_graphs, betas, ks
 
@@ -126,3 +131,24 @@ class TestChunkRealisation:
         s = ggp(g, k=2, beta=0.5)
         s.validate(g)
         assert s.transmission_time <= 1001
+
+
+@pytest.mark.parametrize("scheduler", [ggp, oggp], ids=["ggp", "oggp"])
+def test_every_round_comes_from_peel_weight_regular(monkeypatch, scheduler):
+    # ``repro.core.ggp.peel_weight_regular`` is GGP's one round source
+    # (the benchmark tracer counts peels there), so every peel WRGP
+    # counts must pass through it.
+    ggp_module = importlib.import_module("repro.core.ggp")
+    source = ggp_module.peel_weight_regular
+    rounds = []
+
+    def counting(*args, **kwargs):
+        for item in source(*args, **kwargs):
+            rounds.append(item)
+            yield item
+
+    monkeypatch.setattr(ggp_module, "peel_weight_regular", counting)
+    g = random_bipartite(3, max_side=12, max_edges=80)
+    with obs.observed() as (reg, _tr):
+        scheduler(g, k=3, beta=1.0).validate(g)
+    assert len(rounds) == reg.counter("wrgp.peels").value > 0

@@ -85,9 +85,18 @@ class TestPeelCore:
 
     def test_peel_amounts_positive_and_min(self):
         g = random_weight_regular(4, n=4, layers=3)
-        for matching, peel in peel_weight_regular(g.copy()):
-            assert peel > 0
-            assert peel == matching.min_weight()
+        for matching in ("arbitrary", "max_weight", "bottleneck"):
+            for engine in ("fast", "approx", "reference"):
+                work = g.copy()
+                weight = {eid: w for eid, _l, _r, w, _k in g.iter_edge_data()}
+                for eids, peel in peel_weight_regular(work, matching, engine):
+                    assert peel > 0
+                    assert peel == min(weight[eid] for eid in eids)
+                    for eid in eids:
+                        weight[eid] -= peel
+                assert not any(weight.values())
+                if matching != "arbitrary" and engine != "reference":
+                    assert work == g  # the array peelers own their weights
 
     def test_non_square_rejected(self):
         g = BipartiteGraph.from_edges([(0, 0, 1), (1, 0, 1)])

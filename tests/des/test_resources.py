@@ -1,8 +1,8 @@
-"""Tests for DES resources: Resource, Store, Barrier."""
+"""Tests for DES resources: Resource, Store."""
 
 import pytest
 
-from repro.des import Barrier, Environment, Resource, Store
+from repro.des import Environment, Resource, Store
 from repro.util.errors import SimulationError
 
 
@@ -97,46 +97,3 @@ class TestStore:
         assert (a.value, b.value) == (1, 2)
         assert len(store) == 0
 
-
-class TestBarrier:
-    def test_releases_when_full(self):
-        env = Environment()
-        barrier = Barrier(env, parties=3)
-        times = []
-
-        def party(delay):
-            yield env.timeout(delay)
-            gen = yield barrier.wait()
-            times.append((env.now, gen))
-
-        for d in (1.0, 5.0, 3.0):
-            env.process(party(d))
-        env.run()
-        assert times == [(5.0, 0)] * 3  # all released at the latest arrival
-
-    def test_cyclic_generations(self):
-        env = Environment()
-        barrier = Barrier(env, parties=2)
-        gens = []
-
-        def party():
-            for _ in range(3):
-                gen = yield barrier.wait()
-                gens.append(gen)
-                yield env.timeout(1.0)
-
-        env.process(party())
-        env.process(party())
-        env.run()
-        assert sorted(gens) == [0, 0, 1, 1, 2, 2]
-
-    def test_single_party_never_blocks(self):
-        env = Environment()
-        barrier = Barrier(env, parties=1)
-        ev = barrier.wait()
-        env.run()
-        assert ev.value == 0
-
-    def test_invalid_parties(self):
-        with pytest.raises(SimulationError):
-            Barrier(Environment(), parties=0)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import Barrier, Environment, Resource, Store
+from repro.des import Environment, Resource, Store
 
 
 class TestManyProcesses:
@@ -64,23 +64,6 @@ class TestManyProcesses:
         # 30 unit jobs on 3 servers: makespan exactly 10.
         assert max(t for _, t in completed) == pytest.approx(10.0)
         assert len(completed) == 30
-
-    def test_barrier_with_many_parties_and_rounds(self):
-        env = Environment()
-        barrier = Barrier(env, parties=20)
-        log = []
-
-        def party(i):
-            for round_no in range(5):
-                yield env.timeout(0.01 * (i + 1))
-                gen = yield barrier.wait()
-                log.append((round_no, gen))
-
-        for i in range(20):
-            env.process(party(i))
-        env.run()
-        assert len(log) == 100
-        assert all(round_no == gen for round_no, gen in log)
 
 
 class TestDeterminism:

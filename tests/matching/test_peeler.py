@@ -24,19 +24,8 @@ def drive(graph: BipartiteGraph, next_matching) -> list[tuple[list[int], float]]
     return out
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7, 42, 99])
-def test_replay_matches_stateless_bottleneck(seed):
-    g = random_weight_regular(seed, n=6, layers=4)
-    warm = g.copy()
-    peeler = BottleneckPeeler(warm)
-    got = drive(warm, peeler.next_matching)
-    cold = g.copy()
-    want = drive(cold, lambda: bottleneck_matching(cold, require="perfect"))
-    assert got == want
-
-
-def hungarian_rounds(peeler: HungarianPeeler) -> list[tuple[list[int], float]]:
-    """The peeler's own rounds to exhaustion, in :func:`drive`'s form."""
+def peeler_rounds(peeler) -> list[tuple[list[int], float]]:
+    """An array peeler's own rounds to exhaustion, in :func:`drive`'s form."""
     out = []
     while peeler.live:
         eids, peel = peeler.next_matching()
@@ -44,11 +33,22 @@ def hungarian_rounds(peeler: HungarianPeeler) -> list[tuple[list[int], float]]:
     return out
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 42, 99])
+def test_replay_matches_stateless_bottleneck(seed):
+    g = random_weight_regular(seed, n=6, layers=4)
+    untouched = g.copy()
+    got = peeler_rounds(BottleneckPeeler(g))
+    assert g == untouched  # the peeler owns its weights
+    cold = g.copy()
+    want = drive(cold, lambda: bottleneck_matching(cold, require="perfect"))
+    assert got == want
+
+
 @pytest.mark.parametrize("seed", [0, 3, 11, 64])
 def test_hungarian_peeler_matches_stateless(seed):
     g = random_weight_regular(seed, n=5, layers=3)
     untouched = g.copy()
-    got = hungarian_rounds(HungarianPeeler(g))
+    got = peeler_rounds(HungarianPeeler(g))
     assert g == untouched  # the peeler owns its weights
     cold = g.copy()
     want = drive(cold, lambda: hungarian_perfect_matching(cold))
@@ -67,7 +67,7 @@ def test_hungarian_peeler_hands_the_solver_the_stateless_matrix(monkeypatch):
 
     monkeypatch.setattr(hungarian, "_solve_max", recording)
     g = random_weight_regular(7, n=5, layers=3, merge_parallel=False)
-    hungarian_rounds(HungarianPeeler(g))
+    peeler_rounds(HungarianPeeler(g))
     warm = matrices[:]
     matrices.clear()
     cold = g.copy()
@@ -95,7 +95,7 @@ def test_hungarian_peeler_parallel_edges(seed, scale):
         else:
             edges.append((e.left, e.right, scale(e.weight)))
     g = BipartiteGraph.from_edges(edges)
-    got = hungarian_rounds(HungarianPeeler(g))
+    got = peeler_rounds(HungarianPeeler(g))
     cold = g.copy()
     want = drive(cold, lambda: hungarian_perfect_matching(cold))
     assert got == want
@@ -103,6 +103,8 @@ def test_hungarian_peeler_parallel_edges(seed, scale):
 
 def test_single_edge_graph():
     g = BipartiteGraph.from_edges([(0, 0, 5)])
-    peeler = BottleneckPeeler(g.copy())
-    m = peeler.next_matching()
-    assert [e.weight for e in m.edges()] == [5]
+    untouched = g.copy()
+    peeler = BottleneckPeeler(g)
+    assert peeler.next_matching() == (g.edge_ids(), 5)
+    assert peeler.live == 0
+    assert g == untouched

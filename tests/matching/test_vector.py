@@ -13,7 +13,11 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.matching.bottleneck import bottleneck_matching
 from repro.matching.hopcroft_karp import hopcroft_karp
-from repro.matching.vector import BottleneckPeeler, hopcroft_karp_vec
+from repro.matching.vector import (
+    ApproxBottleneckPeeler,
+    BottleneckPeeler,
+    hopcroft_karp_vec,
+)
 from tests.conftest import bipartite_graphs
 
 
@@ -69,18 +73,21 @@ class TestBottleneckVectorEngine:
         from repro.graph.generators import random_weight_regular
 
         g = random_weight_regular(seed, n=n)
+        untouched = g.copy()
         py = bottleneck_matching(g, require="perfect")
-        vec = BottleneckPeeler(g).next_matching()
-        assert edge_ids(py) == edge_ids(vec)
-        assert min(e.weight for e in py.edges()) == min(
-            e.weight for e in vec.edges()
-        )
+        eids, peel = BottleneckPeeler(g).next_matching()
+        assert g == untouched  # the peeler owns its weights
+        assert eids == edge_ids(py)
+        assert peel == py.min_weight()
 
     def test_probe_counters_posted(self):
         from repro.graph.generators import random_weight_regular
 
         g = random_weight_regular(3, n=5)
-        with obs.observed() as (reg, _tr):
-            BottleneckPeeler(g).next_matching()
-        assert reg.counter("matching.bottleneck.calls").value == 1
-        assert reg.counter("matching.bottleneck.threshold_probes").value >= 1
+        for peeler in (BottleneckPeeler, ApproxBottleneckPeeler):
+            with obs.observed() as (reg, _tr):
+                peeler(g).next_matching()
+            assert reg.counter("matching.bottleneck.calls").value == 1
+            assert reg.counter("matching.bottleneck.threshold_probes").value >= 1
+            # A first round grows the matching from empty: one path per node.
+            assert reg.counter("matching.hk.augmenting_paths").value == 5

@@ -363,6 +363,8 @@ def run_load(args: argparse.Namespace) -> dict:
         "daemon": {
             "requests_total": metric("serve.requests_total"),
             "schedules_total": metric("serve.schedules_total"),
+            "answer_cache_hits": metric("serve.answer_cache.hits"),
+            "answer_cache_misses": metric("serve.answer_cache.misses"),
             "shed_total": metric("serve.shed_total"),
             "malformed_frames": metric("serve.malformed_frames"),
             "internal_errors": metric("serve.internal_errors"),

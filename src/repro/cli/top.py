@@ -77,11 +77,21 @@ def _gauge(snapshot: Mapping[str, Mapping], name: str):
     return None
 
 
+def _cache_lookups(snapshot: Mapping[str, Mapping]) -> tuple[float, float]:
+    """``(hits, lookups)`` over the schedule cache and serve's answer memo.
+
+    An answer-memo miss goes on to a schedule-cache lookup, so only the
+    memo's hits are lookups of their own.
+    """
+    hits = _counter(snapshot, "schedule_cache.hits") + _counter(
+        snapshot, "serve.answer_cache.hits"
+    )
+    return hits, hits + _counter(snapshot, "schedule_cache.misses")
+
+
 def _schedules_counter(snapshot: Mapping[str, Mapping]) -> float:
     """Total scheduling work units seen so far (for the rate display)."""
-    lookups = _counter(snapshot, "schedule_cache.hits") + _counter(
-        snapshot, "schedule_cache.misses"
-    )
+    lookups = _cache_lookups(snapshot)[1]
     if lookups:
         return lookups
     return _counter(snapshot, "parallel.pool.items_done")
@@ -141,9 +151,7 @@ def render_dashboard(
     rate = None
     if prev is not None and dt and dt > 0:
         rate = max(0.0, done - _schedules_counter(prev)) / dt
-    hits = _counter(snapshot, "schedule_cache.hits")
-    misses = _counter(snapshot, "schedule_cache.misses")
-    lookups = hits + misses
+    hits, lookups = _cache_lookups(snapshot)
     hit_rate = f"{100.0 * hits / lookups:.1f}%" if lookups else "-"
     depth = _gauge(snapshot, "parallel.pool.queue_depth")
     lines.append(

@@ -253,7 +253,10 @@ def cached_schedule(
         raise ConfigError(f"unknown algorithm {algorithm!r}")
     tag = cache_tag(algorithm, engine)
     if cache is not None:
-        hit = cache.get(graph, k, beta, tag)
+        # Scheduling copies the graph, so one canonical form serves both
+        # the lookup and the store.
+        form = _canonical(graph)
+        hit = cache._get(form, k, beta, tag)
         if hit is not None:
             return hit
     if algorithm == "ggp":
@@ -265,5 +268,5 @@ def cached_schedule(
     else:
         schedule = wrgp(graph, beta=beta, engine=engine)
     if cache is not None:
-        cache.put(graph, k, beta, tag, schedule)
+        cache._put(form, k, beta, tag, schedule)
     return schedule

@@ -4,6 +4,9 @@ One long-lived process multiplexing many concurrent clients onto a
 single shared warm :class:`~repro.parallel.pool.WorkerPool` and
 :class:`~repro.core.cache.ScheduleCache`:
 
+- **replay** — a repeated graph-blob schedule request is answered with
+  the response frame sent the first time (an LRU memo bounded by
+  ``cache_size``), before any decode, compute-lock wait or encode;
 - **framing** — every connection speaks KPBR
   (:mod:`repro.serve.protocol`); a malformed frame gets a structured
   error frame and a close, never a crash or a hang, and a per-read
@@ -39,6 +42,7 @@ import functools
 import os
 import time
 import traceback
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -144,6 +148,9 @@ class ScheduleServer:
                 cache=self.cache,
             )
         self.resumed_results: list[dict] = []
+        #: ``(algorithm, engine, k, beta, KPBW blob)`` -> the KPBR frame
+        #: of its ok answer, least recently used first.
+        self._answers: OrderedDict[tuple, bytes] = OrderedDict()
         self._pool = None
         self._executor: ThreadPoolExecutor | None = None
         self._metrics_server = None
@@ -338,12 +345,16 @@ class ScheduleServer:
             )
 
     async def _send(
-        self, writer: asyncio.StreamWriter, doc: dict, blob: bytes = b""
+        self, writer: asyncio.StreamWriter, answer: dict | bytes
     ) -> None:
-        frame_type = (
-            FRAME_ERROR if doc.get("status") == "error" else FRAME_RESPONSE
-        )
-        writer.write(encode_frame(frame_type, doc, blob))
+        """Write an answer document, or a stored frame as it is."""
+        if isinstance(answer, dict):
+            frame_type = (
+                FRAME_ERROR if answer.get("status") == "error"
+                else FRAME_RESPONSE
+            )
+            answer = encode_frame(frame_type, answer)
+        writer.write(answer)
         # A reader that stops draining its socket must not pin this
         # handler: bound the flush like every read.
         await asyncio.wait_for(writer.drain(), self.config.idle_timeout)
@@ -396,12 +407,18 @@ class ScheduleServer:
             pass  # client vanished mid-write; nothing to answer
         finally:
             writer.close()
-            with contextlib.suppress(Exception):
+            try:
                 await writer.wait_closed()
+            except asyncio.CancelledError:
+                # stop() may cancel a handler that is already closing.
+                if not self._shutting_down:
+                    raise
+            except Exception:
+                pass  # the peer is gone; the writer is closed either way
 
     # -- request handling -------------------------------------------------
 
-    async def _handle_request(self, doc: dict, blob: bytes) -> dict:
+    async def _handle_request(self, doc: dict, blob: bytes) -> dict | bytes:
         metrics = obs.metrics()
         op = str(doc.get("op", ""))
         tenant = str(doc.get("tenant") or "default")
@@ -466,7 +483,7 @@ class ScheduleServer:
 
     async def _admit_and_wait(
         self, op: str, tenant: str, doc: dict, blob: bytes
-    ) -> dict:
+    ) -> dict | bytes:
         metrics = obs.metrics()
         if op == "transfer" and self.registry is None:
             return error_response(
@@ -531,9 +548,9 @@ class ScheduleServer:
 
     # -- dispatch ---------------------------------------------------------
 
-    def _resolve(self, item: QueueItem, doc: dict) -> None:
+    def _resolve(self, item: QueueItem, answer: dict | bytes) -> None:
         if not item.future.done():
-            item.future.set_result(doc)
+            item.future.set_result(answer)
 
     async def _dispatch_loop(self) -> None:
         while not self._shutting_down:
@@ -571,9 +588,9 @@ class ScheduleServer:
     # -- schedule op ------------------------------------------------------
 
     def _parse_schedule_request(self, doc: dict, blob: bytes):
+        """``(algorithm, engine, k, beta)``; the graph is not decoded."""
         from repro.core.wrgp import VALID_ENGINES
-        from repro.graph.generators import from_traffic_matrix
-        from repro.parallel import BATCH_ALGORITHMS, decode_graph
+        from repro.parallel import BATCH_ALGORITHMS
 
         algorithm = str(doc.get("algorithm", "oggp"))
         engine = str(doc.get("engine", "fast"))
@@ -596,23 +613,27 @@ class ScheduleServer:
             raise ConfigError(f"k must be >= 1, got {k}")
         if beta < 0:
             raise ConfigError(f"beta must be >= 0, got {beta}")
-        if blob:
-            graph = decode_graph(blob)
-        elif doc.get("matrix") is not None:
-            try:
-                graph = from_traffic_matrix(doc["matrix"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad traffic matrix: {exc}") from exc
-        else:
+        if not blob and doc.get("matrix") is None:
             raise ConfigError(
                 "schedule request needs a 'matrix' field or a KPBW graph "
                 "blob"
             )
-        return graph, algorithm, engine, k, beta
+        return algorithm, engine, k, beta
+
+    @staticmethod
+    def _request_graph(doc: dict, blob: bytes):
+        """The request's graph: its KPBW blob, or else its traffic matrix."""
+        from repro.graph.generators import from_traffic_matrix
+        from repro.parallel import decode_graph
+
+        if blob:
+            return decode_graph(blob)
+        try:
+            return from_traffic_matrix(doc["matrix"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad traffic matrix: {exc}") from exc
 
     async def _run_schedule_batch(self, items: list[QueueItem]) -> None:
-        from repro.parallel import schedule_batch
-
         level = self.ladder.observe(self.queue.depth, self.config.max_queue)
         metrics = obs.metrics()
         metrics.gauge("serve.degraded_level").set(level)
@@ -621,24 +642,44 @@ class ScheduleServer:
             if item.future.done():
                 continue
             try:
-                graph, algorithm, engine, k, beta = (
-                    self._parse_schedule_request(item.doc, item.blob)
+                algorithm, engine, k, beta = self._parse_schedule_request(
+                    item.doc, item.blob
                 )
+                algorithm, engine, degraded = self.ladder.apply(
+                    algorithm, engine
+                )
+                # A repeated graph blob gets the frame its first answer
+                # was sent in.  Degraded answers are never stored, and
+                # matrix requests are not replayed: JSON 1 and 1.0 are
+                # one request but two answers.
+                memo_key = None
+                if item.blob and not degraded:
+                    memo_key = (algorithm, engine, k, beta, item.blob)
+                    frame = self._answers.get(memo_key)
+                    if frame is not None:
+                        self._answers.move_to_end(memo_key)
+                        metrics.counter("serve.answer_cache.hits").inc()
+                        metrics.counter("serve.schedules_total").inc()
+                        self._resolve(item, frame)
+                        continue
+                    metrics.counter("serve.answer_cache.misses").inc()
+                graph = self._request_graph(item.doc, item.blob)
             except (ConfigError, ProtocolError, ReproError) as exc:
                 self._resolve(item, error_response("BAD_REQUEST", str(exc)))
                 continue
             except Exception as exc:  # must not strand the rest of the batch
                 self._resolve(item, _internal_error("schedule_parse", exc))
                 continue
-            algorithm, engine, degraded = self.ladder.apply(algorithm, engine)
             groups.setdefault((algorithm, engine, k, beta), []).append(
-                (item, graph, degraded)
+                (item, graph, degraded, memo_key)
             )
+        if not groups:
+            return
         # One shared pool: batches serialize on the compute lock, and
         # each group becomes a single schedule_batch fan-out.
         async with self._compute_lock:
             for (algorithm, engine, k, beta), entries in groups.items():
-                graphs = [graph for _, graph, _ in entries]
+                graphs = [graph for _, graph, *_ in entries]
                 work = functools.partial(
                     self._compute_group, graphs, algorithm, engine, k, beta
                 )
@@ -647,34 +688,37 @@ class ScheduleServer:
                         self._executor, work
                     )
                 except (ConfigError, ReproError) as exc:
-                    for item, _, _ in entries:
+                    for item, *_ in entries:
                         self._resolve(
                             item, error_response("BAD_REQUEST", str(exc))
                         )
                     continue
                 except Exception as exc:
                     error = _internal_error("schedule_batch", exc)
-                    for item, _, _ in entries:
+                    for item, *_ in entries:
                         self._resolve(item, error)
                     continue
-                for (item, _, degraded), sched, bound in zip(
+                for (item, _, degraded, memo_key), sched, bound in zip(
                     entries, schedules, bounds
                 ):
                     metrics.counter("serve.schedules_total").inc()
-                    self._resolve(
-                        item,
-                        ok_response(
-                            op="schedule",
-                            schedule=sched.to_dict(),
-                            cost=sched.cost,
-                            num_steps=sched.num_steps,
-                            lower_bound=bound,
-                            algorithm=algorithm,
-                            engine=engine,
-                            degraded=degraded,
-                            degraded_level=level if degraded else 0,
-                        ),
+                    answer = ok_response(
+                        op="schedule",
+                        schedule=sched.to_dict(),
+                        cost=sched.cost,
+                        num_steps=sched.num_steps,
+                        lower_bound=bound,
+                        algorithm=algorithm,
+                        engine=engine,
+                        degraded=degraded,
+                        degraded_level=level if degraded else 0,
                     )
+                    if memo_key is not None:
+                        answer = encode_frame(FRAME_RESPONSE, answer)
+                        self._answers[memo_key] = answer
+                        if len(self._answers) > self.config.cache_size:
+                            self._answers.popitem(last=False)
+                    self._resolve(item, answer)
 
     def _compute_group(self, graphs, algorithm, engine, k, beta):
         """Executor-thread body: schedules plus their lower bounds."""

@@ -374,6 +374,27 @@ class TestTop:
         assert "run.start" in out
         assert "/s" in out  # second frame switches to a rate
 
+    def test_top_counts_serve_answer_memo_hits(self):
+        from repro.cli.top import render_dashboard
+
+        def snapshot(memo_hits):
+            counters = {
+                "schedule_cache.hits": 1,
+                "schedule_cache.misses": 1,
+                "serve.answer_cache.hits": memo_hits,
+                "serve.answer_cache.misses": 2,
+            }
+            return {
+                name: {"type": "counter", "value": value}
+                for name, value in counters.items()
+            }
+
+        # The two memo misses went on to the schedule cache (one hit, one
+        # miss); each memo hit is a lookup that hit.
+        frame = render_dashboard(snapshot(6), prev=snapshot(2), dt=2.0)
+        assert "cache hit rate: 87.5%" in frame
+        assert "schedules:      2.0/s" in frame
+
     def test_top_unreachable_endpoint_fails_cleanly(self, capsys):
         assert main(["top", "http://127.0.0.1:9/", "--iterations", "1"]) == 2
         assert "cannot reach" in capsys.readouterr().err

@@ -145,6 +145,27 @@ class TestLruAndCounters:
             assert registry.counter("schedule_cache.misses").value == 1
             assert registry.counter("schedule_cache.hits").value == 1
 
+    def test_one_canonical_sort_per_lookup(self, monkeypatch):
+        import repro.core.cache as cache_module
+
+        calls = []
+        canonical = cache_module._canonical
+
+        def counted(graph):
+            calls.append(graph)
+            return canonical(graph)
+
+        monkeypatch.setattr(cache_module, "_canonical", counted)
+        g = BipartiteGraph.from_edges([(0, 0, 2), (1, 1, 3), (0, 1, 1)])
+        cache = ScheduleCache()
+        cached_schedule(g, k=2, beta=1.0, cache=cache)
+        assert len(calls) == 1  # a miss sorts once for lookup and store
+        cached_schedule(g, k=2, beta=1.0, cache=cache)
+        assert len(calls) == 2  # a hit sorts once
+        assert cache.stats() == {
+            "hits": 1, "misses": 1, "evictions": 0, "size": 1,
+        }
+
     def test_clear_and_len(self):
         g = BipartiteGraph.from_edges([(0, 0, 2)])
         cache = ScheduleCache()

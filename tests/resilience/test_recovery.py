@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import oggp
+from repro.core.cache import ScheduleCache
 from repro.resilience import (
     FaultPlan,
     FaultSpec,
@@ -189,23 +190,21 @@ class TestVerifyRecoverySchedule:
             verify_recovery_schedule(graph_b, schedule)
 
 
-class _HalfCache:
+class _HalfCache(ScheduleCache):
     """A schedule cache whose every answer ships half of each edge."""
 
-    def get(self, graph, k, beta, tag):
+    def _get(self, canonical, k, beta, algorithm):
         from repro.core.schedule import Schedule, Step, Transfer
 
+        signature, ids = canonical
         return Schedule(
             [
-                Step([Transfer(e.id, e.left, e.right, e.weight / 2)])
-                for e in graph.edges()
+                Step([Transfer(eid, left, right, weight / 2)])
+                for (left, right, weight, _), eid in zip(signature, ids)
             ],
             k=k,
             beta=beta,
         )
-
-    def put(self, *args):
-        pass
 
 
 class TestFirstPlanVerified:

@@ -8,8 +8,10 @@ import time
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.cache import cached_schedule
-from repro.graph.generators import from_traffic_matrix
+from repro.graph.generators import from_traffic_matrix, random_bipartite
+from repro.parallel import encode_graph
 from repro.serve import (
     BackgroundServer,
     LadderConfig,
@@ -18,9 +20,42 @@ from repro.serve import (
     ServeError,
 )
 from repro.serve.admission import QueueItem
-from repro.serve.protocol import FRAME_ERROR, decode_frame, encode_frame
+from repro.serve.daemon import ScheduleServer
+from repro.serve.protocol import (
+    _HEADER,
+    FRAME_ERROR,
+    FRAME_REQUEST,
+    decode_frame,
+    encode_frame,
+)
 
 MATRIX = [[4.0, 1.0], [2.0, 3.0]]
+BLOB = encode_graph(random_bipartite(7, max_side=12, max_edges=60))
+OTHER_BLOB = encode_graph(random_bipartite(8, max_side=12, max_edges=60))
+
+
+def exchange(address: str, doc: dict, blob: bytes = b"") -> bytes:
+    """One request on a fresh connection; the answer frame's raw bytes."""
+    host, port = address.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=60) as s:
+        s.sendall(encode_frame(FRAME_REQUEST, doc, blob))
+        with s.makefile("rb") as stream:
+            header = stream.read(_HEADER.size)
+            *_, json_len, blob_len = _HEADER.unpack(header)
+            return header + stream.read(json_len + blob_len)
+
+
+def schedule_doc(**fields) -> dict:
+    return {"op": "schedule", "k": 3, "beta": 0.5, **fields}
+
+
+def memo_counts() -> tuple[int, int]:
+    """Lifetime ``(hits, misses)`` of the daemons' answer memos."""
+    metrics = obs.metrics()
+    return tuple(
+        metrics.counter(f"serve.answer_cache.{name}").value
+        for name in ("hits", "misses")
+    )
 
 
 @pytest.fixture(scope="module")
@@ -252,3 +287,155 @@ class TestDegradationLadder:
                 assert (doc["algorithm"], doc["engine"]) == ("greedy", "approx")
                 # A degraded answer is still a valid schedule.
                 assert doc["cost"] >= doc["lower_bound"] - 1e-9
+
+
+class TestAnswerMemo:
+    def test_repeat_replays_the_cold_answer_byte_for_byte(self):
+        with BackgroundServer(ServeConfig(metrics_port=None)) as cold:
+            cold_frame = exchange(cold.address, schedule_doc(), BLOB)
+        with BackgroundServer(ServeConfig(metrics_port=None)) as bg:
+            before = memo_counts()
+            first = exchange(bg.address, schedule_doc(), BLOB)
+            again = exchange(bg.address, schedule_doc(), BLOB)
+            hits, misses = memo_counts()
+            assert (hits - before[0], misses - before[1]) == (1, 1)
+        assert first == again == cold_frame
+        _, doc, _ = decode_frame(again)
+        assert (doc["status"], doc["degraded"]) == ("ok", False)
+
+    def test_engine_names_are_echoed_but_share_one_schedule(self):
+        with BackgroundServer(ServeConfig(metrics_port=None)) as bg:
+            with ServeClient(bg.address) as c:
+                fast = c.request(schedule_doc(engine="fast"), BLOB)
+                vector = c.request(schedule_doc(engine="vector"), BLOB)
+            assert (fast["engine"], vector["engine"]) == ("fast", "vector")
+            assert fast["schedule"] == vector["schedule"]
+            assert len(bg.server._answers) == 2
+            assert bg.server.cache.stats()["size"] == 1
+            assert bg.server.cache.stats()["hits"] == 1
+
+    def test_other_parameters_miss(self):
+        with BackgroundServer(ServeConfig(metrics_port=None)) as bg:
+            before = memo_counts()
+            for doc in (
+                schedule_doc(),
+                schedule_doc(k=4),
+                schedule_doc(beta=0.25),
+                schedule_doc(algorithm="ggp"),
+            ):
+                exchange(bg.address, doc, BLOB)
+            exchange(bg.address, schedule_doc(), OTHER_BLOB)
+            exchange(bg.address, schedule_doc(k=3.0, beta=0.5), BLOB)
+            hits, misses = memo_counts()
+        # k and beta are keyed by value: 3.0 is the k=3 request again.
+        assert (hits - before[0], misses - before[1]) == (1, 5)
+
+    def test_degraded_requests_bypass_the_memo(self):
+        config = ServeConfig(
+            metrics_port=None, ladder=LadderConfig(release_after=300.0)
+        )
+        with BackgroundServer(config) as bg:
+            daemon = bg.server
+            plain = exchange(bg.address, schedule_doc(), BLOB)
+            before = memo_counts()
+            daemon.ladder._level = 1
+            _, degraded, _ = decode_frame(
+                exchange(bg.address, schedule_doc(), BLOB)
+            )
+            assert (degraded["engine"], degraded["degraded"]) == (
+                "approx", True,
+            )
+            assert memo_counts() == before  # neither read nor written
+            assert len(daemon._answers) == 1
+            daemon.ladder._level = 0
+            assert exchange(bg.address, schedule_doc(), BLOB) == plain
+            assert memo_counts()[0] == before[0] + 1
+
+    def test_memo_is_lru_bounded_by_cache_size(self):
+        blobs = [
+            encode_graph(random_bipartite(seed, max_side=6, max_edges=20))
+            for seed in range(3)
+        ]
+        config = ServeConfig(metrics_port=None, cache_size=2)
+        with BackgroundServer(config) as bg:
+            def ask(i):
+                exchange(bg.address, schedule_doc(), blobs[i])
+
+            before = memo_counts()
+            for i in (0, 1, 0, 2):  # the repeat keeps 0; 2 evicts 1
+                ask(i)
+            assert len(bg.server._answers) == 2
+            ask(0)
+            ask(1)
+            hits, misses = memo_counts()
+            assert len(bg.server._answers) == 2
+        assert (hits - before[0], misses - before[1]) == (2, 4)
+
+    def test_hit_is_answered_while_a_miss_holds_the_compute_lock(
+        self, monkeypatch
+    ):
+        entered, release = threading.Event(), threading.Event()
+        with BackgroundServer(ServeConfig(metrics_port=None)) as bg:
+            daemon = bg.server
+            stored = exchange(bg.address, schedule_doc(), BLOB)
+            compute = daemon._compute_group
+
+            def gated(*args):
+                entered.set()
+                release.wait(60)
+                return compute(*args)
+
+            monkeypatch.setattr(daemon, "_compute_group", gated)
+            answers = []
+            miss = threading.Thread(
+                target=lambda: answers.append(
+                    exchange(bg.address, schedule_doc(), OTHER_BLOB)
+                )
+            )
+            miss.start()
+            try:
+                assert entered.wait(60)
+                assert daemon._compute_lock.locked()
+                assert exchange(bg.address, schedule_doc(), BLOB) == stored
+                assert not answers  # the miss is still computing
+            finally:
+                release.set()
+                miss.join(60)
+        _, doc, _ = decode_frame(answers[0])
+        assert doc["status"] == "ok"
+
+
+class TestShutdown:
+    def test_stop_cancelling_a_closing_handler_logs_nothing(
+        self, monkeypatch
+    ):
+        # The client hangs up, and its handler parks in the finally that
+        # waits for the writer to close; stop() then cancels it.  The
+        # cancellation must end the handler quietly: nothing may reach
+        # the loop's exception handler.
+        parked = asyncio.Event()
+
+        async def parked_wait_closed(writer):
+            parked.set()
+            await asyncio.Event().wait()  # only a cancellation ends this
+
+        monkeypatch.setattr(
+            asyncio.StreamWriter, "wait_closed", parked_wait_closed
+        )
+        logged = []
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: logged.append(context["message"])
+            )
+            daemon = await ScheduleServer(
+                ServeConfig(metrics_port=None)
+            ).start()
+            host, port = daemon.address.rsplit(":", 1)
+            _, writer = await asyncio.open_connection(host, int(port))
+            writer.close()
+            await parked.wait()
+            await daemon.stop()
+
+        asyncio.run(scenario())
+        assert logged == []

@@ -34,7 +34,6 @@ SECONDS``; see docs/robustness.md.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -56,36 +55,8 @@ from repro.graph.generators import from_traffic_matrix, paper_figure2_graph
 from repro.netsim.runner import run_redistribution, uniform_traffic
 from repro.netsim.topology import NetworkSpec
 from repro.resilience import FaultSpec, RetryPolicy
-from repro.util.errors import ReproError
-
-
-def _parse_retry(
-    retries: str | int | None, task_timeout: float | None
-) -> RetryPolicy | None:
-    """A :class:`RetryPolicy` from a ``--retries`` spec and timeout.
-
-    ``retries`` is a bare attempt count or a ``key=value`` list
-    (``attempts=5,max-elapsed=30,...``; see :meth:`RetryPolicy.parse`);
-    older ``run.json`` sidecars stored a plain int, which also parses.
-    """
-    if retries is None and task_timeout is None:
-        return None
-    if retries is None:
-        policy = RetryPolicy()
-    else:
-        policy = RetryPolicy.parse(str(retries))
-    if task_timeout is not None:
-        policy = dataclasses.replace(policy, task_timeout=task_timeout)
-    return policy
-
-
-def _resilience_options(args: argparse.Namespace) -> tuple:
-    """``(FaultPlan | None, RetryPolicy | None)`` from CLI flags."""
-    faults = None
-    if getattr(args, "faults", None):
-        faults = FaultSpec.parse(args.faults).plan()
-    retry = _parse_retry(args.retries, args.task_timeout)
-    return faults, retry
+from repro.runtime import seeded
+from repro.util.errors import ConfigError, ReproError
 
 
 def _cmd_experiments(_args: argparse.Namespace) -> int:
@@ -243,7 +214,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = NetworkSpec.paper_testbed(args.k, step_setup=args.beta)
     traffic = uniform_traffic(args.seed, spec.n1, spec.n2, 10.0, args.max_mb)
-    faults, retry = _resilience_options(args)
+    faults, retry = seeded.resilience_options(
+        args.faults, args.retries, args.task_timeout
+    )
     if args.jobs is not None and args.jobs != 1:
         from repro.netsim.runner import build_schedule_batch
 
@@ -283,18 +256,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-# The seeded-transfer helpers moved to repro.runtime.seeded so the
-# serve daemon's run registry shares them; the CLI keeps its historical
-# local names.
-from repro.runtime.seeded import (  # noqa: E402
-    MBIT_BYTES as _MBIT_BYTES,
-    RUN_CONFIG_NAME as _RUN_CONFIG,
-    delivered_digest as _delivered_digest,
-    transfer_case as _transfer_case,
-    transfer_cluster as _transfer_cluster,
-)
-
-
 def _print_transfer_report(report) -> int:
     delivered_bytes = sum(len(p) for p in report.delivered.values())
     print(f"rounds:    {report.rounds}")
@@ -302,7 +263,7 @@ def _print_transfer_report(report) -> int:
     print(f"moved:     {report.bytes_moved} bytes")
     print(f"delivered: {delivered_bytes} bytes")
     print(f"complete:  {report.complete}")
-    print(f"digest:    {_delivered_digest(report.delivered)}")
+    print(f"digest:    {seeded.delivered_digest(report.delivered)}")
     for failure in report.errors:
         print(f"  unresolved: {failure}")
     return 0 if report.complete else 1
@@ -310,88 +271,27 @@ def _print_transfer_report(report) -> int:
 
 def _cmd_transfer(args: argparse.Namespace) -> int:
     """Move real (seeded) bytes through the runtime, checkpointed."""
-    from repro.resilience import CheckpointStore
-    from repro.runtime import schedule_and_run_resilient
-
-    faults, retry = _resilience_options(args)
-    config = {
-        "seed": args.seed,
-        "n1": args.n1,
-        "n2": args.n2,
-        "payload_kb": args.payload_kb,
-        "k": args.k,
-        "beta": args.beta,
-        "method": args.algorithm,
-        "engine": args.engine,
-        "nic_mbit": args.nic_mbit,
-        "backbone_mbit": args.backbone_mbit,
-        "faults": args.faults,
-        "retries": args.retries,
-    }
-    graph, payloads, destinations = _transfer_case(
-        args.seed, args.n1, args.n2, int(args.payload_kb * 1024)
+    report = seeded.run_transfer(
+        args.checkpoint_dir or None,
+        {key: getattr(args, key) for key in seeded.CONFIG_DEFAULTS},
+        task_timeout=args.task_timeout, cache=None,
+        fsync=args.fsync, snapshot_every=args.snapshot_every,
     )
-    cluster = _transfer_cluster(config)
-    checkpoint = None
-    if args.checkpoint_dir:
-        ckdir = Path(args.checkpoint_dir)
-        ckdir.mkdir(parents=True, exist_ok=True)
-        # The sidecar config lands (durably) before the first byte
-        # moves, so a run killed at any point is resumable.
-        config_path = ckdir / _RUN_CONFIG
-        config_path.write_text(json.dumps(config, indent=2))
-        checkpoint = CheckpointStore(
-            ckdir, fsync=args.fsync, snapshot_every=args.snapshot_every
-        )
-    try:
-        report = schedule_and_run_resilient(
-            cluster, graph, args.k, args.beta, payloads, destinations,
-            method=args.algorithm, engine=args.engine, cache=None,
-            faults=faults, retry=retry, checkpoint=checkpoint,
-        )
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
     return _print_transfer_report(report)
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
     """Finish a killed ``kpbs transfer``/``kpbs watch`` run."""
-    from repro.resilience import CheckpointStore
-    from repro.runtime import resume_and_run_resilient
-
-    ckdir = Path(args.checkpoint_dir)
-    config_path = ckdir / _RUN_CONFIG
-    if not config_path.is_file():
-        raise ReproError(
-            f"no {_RUN_CONFIG} in {ckdir}; start the run with "
-            "'kpbs transfer --checkpoint-dir' or "
-            "'kpbs watch --checkpoint-dir' first"
-        )
-    config = json.loads(config_path.read_text())
+    config = seeded.read_run_config(args.checkpoint_dir)
     if config.get("mode") == "watch":
-        return _resume_watch(args, ckdir, config)
+        return _resume_watch(args, config)
     # Same spec the original process recorded → same payload bytes and
     # the same deterministic fault trajectory; CLI flags override.
-    faults_spec = args.faults if args.faults else config.get("faults")
-    faults = FaultSpec.parse(faults_spec).plan() if faults_spec else None
-    retries = args.retries if args.retries is not None else config.get("retries")
-    retry = _parse_retry(retries, args.task_timeout)
-    _graph, payloads, _destinations = _transfer_case(
-        config["seed"], config["n1"], config["n2"],
-        int(config["payload_kb"] * 1024),
+    report = seeded.run_transfer(
+        args.checkpoint_dir, faults=args.faults, retries=args.retries,
+        task_timeout=args.task_timeout, cache=None,
+        fsync=args.fsync, snapshot_every=args.snapshot_every,
     )
-    store = CheckpointStore.resume(
-        ckdir, fsync=args.fsync, snapshot_every=args.snapshot_every
-    )
-    try:
-        report = resume_and_run_resilient(
-            _transfer_cluster(config), store, payloads,
-            engine=config.get("engine", "fast"),
-            faults=faults, retry=retry,
-        )
-    finally:
-        store.close()
     return _print_transfer_report(report)
 
 
@@ -446,7 +346,9 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     from repro.resilience import CheckpointStore, ChurnSpec
 
     churn = ChurnSpec.parse(args.churn).process()
-    faults, retry = _resilience_options(args)
+    faults, retry = seeded.resilience_options(
+        args.faults, args.retries, args.task_timeout
+    )
     config = {
         "mode": "watch",
         "seed": args.seed,
@@ -470,7 +372,9 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     if args.checkpoint_dir:
         ckdir = Path(args.checkpoint_dir)
         ckdir.mkdir(parents=True, exist_ok=True)
-        (ckdir / _RUN_CONFIG).write_text(json.dumps(config, indent=2))
+        (ckdir / seeded.RUN_CONFIG_NAME).write_text(
+            json.dumps(config, indent=2)
+        )
         checkpoint = CheckpointStore(
             ckdir, fsync=args.fsync, snapshot_every=args.snapshot_every
         )
@@ -490,18 +394,27 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     return _print_watch_outcome(out, not args.quiet)
 
 
-def _resume_watch(args: argparse.Namespace, ckdir: Path, config: dict) -> int:
+#: Keys a ``kpbs watch`` run.json must hold for the run to be resumed.
+_WATCH_KEYS = ("churn", "n1", "n2", "k", "beta")
+
+
+def _resume_watch(args: argparse.Namespace, config: dict) -> int:
     """Finish a killed ``kpbs watch`` run bit-identically."""
     from repro.netsim.watch import resume_redistribution_churn
     from repro.resilience import CheckpointStore, ChurnSpec
 
+    missing = [key for key in _WATCH_KEYS if key not in config]
+    if missing:
+        raise ConfigError(f"watch run.json lacks {', '.join(missing)}")
     churn = ChurnSpec.parse(config["churn"]).process()
-    faults_spec = args.faults if args.faults else config.get("faults")
-    faults = FaultSpec.parse(faults_spec).plan() if faults_spec else None
-    retries = args.retries if args.retries is not None else config.get("retries")
-    retry = _parse_retry(retries, args.task_timeout)
+    faults, retry = seeded.resilience_options(
+        args.faults or config.get("faults"),
+        config.get("retries") if args.retries is None else args.retries,
+        args.task_timeout,
+    )
     store = CheckpointStore.resume(
-        ckdir, fsync=args.fsync, snapshot_every=args.snapshot_every
+        args.checkpoint_dir, fsync=args.fsync,
+        snapshot_every=args.snapshot_every,
     )
     try:
         out = resume_redistribution_churn(
@@ -820,7 +733,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--algorithm", choices=("ggp", "oggp"), default="oggp")
+    p.add_argument(
+        "--algorithm", dest="method", choices=("ggp", "oggp"),
+        default="oggp",
+    )
     p.add_argument(
         "--engine", choices=sorted(VALID_ENGINES), default="fast",
         help="peeling engine for the initial and recovery schedules",

@@ -9,7 +9,6 @@ step by step.
 from __future__ import annotations
 
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -139,7 +138,6 @@ def run_redistribution(
     faults: FaultPlan | None = None,
     retry: RetryPolicy | None = None,
     checkpoint: CheckpointStore | str | os.PathLike | None = None,
-    metrics_port: int | None = None,
     engine: str = "fast",
     churn=None,
     segment_steps: int = 4,
@@ -169,66 +167,56 @@ def run_redistribution(
     cell (GGP/OGGP only), so a killed process's run can be finished
     with :func:`resume_redistribution`.
 
-    ``metrics_port`` serves live telemetry for the duration of the call
-    (a :class:`~repro.obs.server.MetricsServer` on that port; ``0``
-    picks an ephemeral one).
-
     ``engine`` picks the peeling engine for the initial and every
     recovery schedule (GGP/OGGP only; see
     :data:`repro.core.wrgp.VALID_ENGINES`).
     """
-    serving = nullcontext()
-    if metrics_port is not None:
-        from repro.obs.server import MetricsServer
-
-        serving = MetricsServer(port=metrics_port)
-    with serving:
-        if churn is not None:
-            if method == "bruteforce":
-                raise ConfigError(
-                    "live churn needs a schedule to repair; "
-                    "method 'bruteforce' does not support churn="
-                )
-            return watch.run_redistribution_churn(
-                spec, traffic_mbit, method, churn, segment_steps=segment_steps,
-                rng=rng, rate_jitter=rate_jitter, cache=cache, faults=faults,
-                retry=retry, checkpoint=checkpoint, engine=engine,
-            )
-        traffic = np.asarray(traffic_mbit, dtype=float)
-        volume = float(traffic.sum())
+    if churn is not None:
         if method == "bruteforce":
-            if faults is not None and faults.any_faults():
-                raise ConfigError(
-                    "fault injection needs a schedule to fault; "
-                    "method 'bruteforce' does not support faults"
-                )
-            if checkpoint is not None:
-                raise ConfigError(
-                    "checkpointing needs per-round delivery accounting; "
-                    "method 'bruteforce' does not support checkpoint="
-                )
-            with obs.phase("netsim.run", method=method, volume_mbit=volume):
-                result = simulate_bruteforce(spec, traffic, rng=rng, params=tcp_params)
-            obs.metrics().counter("netsim.bruteforce_runs").inc()
-            return RedistributionOutcome(
-                method=method,
-                total_time=result.total_time,
-                num_steps=1,
-                volume_mbit=volume,
+            raise ConfigError(
+                "live churn needs a schedule to repair; "
+                "method 'bruteforce' does not support churn="
             )
-        if method not in ("ggp", "oggp"):
-            raise ConfigError(f"unknown method {method!r}")
-        edges = watch._cell_edges(traffic)
-        shape = (int(traffic.shape[0]), int(traffic.shape[1]))
-        backend = watch._Netsim(spec, shape, False, rng, rate_jitter, faults)
-        with _opened(checkpoint) as store:
-            run = _drive(
-                backend, store, edges, {eid: 0.0 for eid in edges},
-                extra={"engine": "netsim", "shape": list(shape)},
-                method=method, engine=engine, k=spec.k, beta=spec.step_setup,
-                cache=cache, retry=retry,
+        return watch.run_redistribution_churn(
+            spec, traffic_mbit, method, churn, segment_steps=segment_steps,
+            rng=rng, rate_jitter=rate_jitter, cache=cache, faults=faults,
+            retry=retry, checkpoint=checkpoint, engine=engine,
+        )
+    traffic = np.asarray(traffic_mbit, dtype=float)
+    volume = float(traffic.sum())
+    if method == "bruteforce":
+        if faults is not None and faults.any_faults():
+            raise ConfigError(
+                "fault injection needs a schedule to fault; "
+                "method 'bruteforce' does not support faults"
             )
-        return _outcome(method, volume, run, backend)
+        if checkpoint is not None:
+            raise ConfigError(
+                "checkpointing needs per-round delivery accounting; "
+                "method 'bruteforce' does not support checkpoint="
+            )
+        with obs.phase("netsim.run", method=method, volume_mbit=volume):
+            result = simulate_bruteforce(spec, traffic, rng=rng, params=tcp_params)
+        obs.metrics().counter("netsim.bruteforce_runs").inc()
+        return RedistributionOutcome(
+            method=method,
+            total_time=result.total_time,
+            num_steps=1,
+            volume_mbit=volume,
+        )
+    if method not in ("ggp", "oggp"):
+        raise ConfigError(f"unknown method {method!r}")
+    edges = watch._cell_edges(traffic)
+    shape = (int(traffic.shape[0]), int(traffic.shape[1]))
+    backend = watch._Netsim(spec, shape, False, rng, rate_jitter, faults)
+    with _opened(checkpoint) as store:
+        run = _drive(
+            backend, store, edges, {eid: 0.0 for eid in edges},
+            extra={"engine": "netsim", "shape": list(shape)},
+            method=method, engine=engine, k=spec.k, beta=spec.step_setup,
+            cache=cache, retry=retry,
+        )
+    return _outcome(method, volume, run, backend)
 
 
 def resume_redistribution(

@@ -31,7 +31,6 @@ computed independently).
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import TYPE_CHECKING, Sequence
 
 from repro import obs
@@ -170,7 +169,6 @@ def schedule_batch(
     retry: "RetryPolicy | None" = None,
     task_timeout: float | None = None,
     fault_plan: "FaultPlan | None" = None,
-    metrics_port: int | None = None,
     min_parallel_items: int | None = None,
 ) -> list[Schedule]:
     """Schedule every graph in ``graphs``; returns schedules in order.
@@ -206,117 +204,107 @@ def schedule_batch(
     Worker failures that survive retry raise
     :class:`~repro.parallel.pool.WorkerTaskError` naming the failing
     graph's index in ``graphs``.
-
-    ``metrics_port`` serves live telemetry for the duration of the call
-    (a :class:`~repro.obs.server.MetricsServer` on that port; ``0``
-    picks an ephemeral one).
     """
-    serving = nullcontext()
-    if metrics_port is not None:
-        from repro.obs.server import MetricsServer
-
-        serving = MetricsServer(port=metrics_port)
-    with serving:
-        if algorithm not in BATCH_ALGORITHMS:
-            raise ConfigError(
-                f"unknown algorithm {algorithm!r}; "
-                f"valid: {', '.join(BATCH_ALGORITHMS)}"
-            )
-        _check_engine(engine)
-        graphs = list(graphs)
-        n = len(graphs)
-        metrics = obs.metrics()
-        metrics.counter("parallel.batch_calls").inc()
-        metrics.counter("parallel.batch_graphs").inc(n)
-        if n == 0:
-            return []
-
-        serial = pool is None and (jobs == 1)
-        if not serial and pool is None:
-            if min_parallel_items is not None:
-                fallback = n < min_parallel_items
-            else:
-                fallback = _estimated_cost(graphs) < MIN_PARALLEL_COST
-            if fallback:
-                metrics.counter("parallel.batch.serial_fallback").inc()
-                serial = True
-        if serial:
-            return [
-                cached_schedule(
-                    g, k=k, beta=beta, algorithm=algorithm, engine=engine,
-                    cache=cache,
-                )
-                for g in graphs
-            ]
-
-        # Single pass in submission order, mirroring the serial cached loop:
-        # a graph either hits the parent cache, opens a new canonical group
-        # (becoming its representative), or joins an existing group.  Each
-        # graph's canonical form is sorted once and reused for every
-        # lookup and store below.
-        tag = cache_tag(algorithm, engine)
-        results: list[Schedule | None] = [None] * n
-        forms: list = [None] * n  # canonical form per graph (cached batches)
-        rep_indices: list[int] = []  # representative graph index per group
-        group_of: dict[tuple, int] = {}  # canonical signature -> group number
-        members: list[list[int]] = []  # non-representative indices per group
-        for i, graph in enumerate(graphs):
-            if cache is not None:
-                forms[i] = form = _canonical(graph)
-                group = group_of.get(form[0])
-                if group is not None:
-                    members[group].append(i)
-                    continue
-                hit = cache._get(form, k, beta, tag)
-                if hit is not None:
-                    results[i] = hit
-                    continue
-                group_of[form[0]] = len(rep_indices)
-            rep_indices.append(i)
-            members.append([])
-
-        payloads = [
-            (
-                encode_graph(graphs[i]),
-                algorithm,
-                k,
-                beta,
-                engine,
-                cache is not None,
-            )
-            for i in rep_indices
-        ]
-        metrics.counter("parallel.batch_dispatched").inc(len(payloads))
-
-        own_pool = pool is None
-        active = (
-            pool
-            if pool is not None
-            else make_schedule_pool(
-                jobs, retry=retry, task_timeout=task_timeout,
-                fault_plan=fault_plan,
-            )
+    if algorithm not in BATCH_ALGORITHMS:
+        raise ConfigError(
+            f"unknown algorithm {algorithm!r}; "
+            f"valid: {', '.join(BATCH_ALGORITHMS)}"
         )
-        try:
-            try:
-                raw = active.map(payloads, chunk_size=chunk_size)
-            except WorkerTaskError as exc:
-                graph_index = rep_indices[exc.index]
-                raise WorkerTaskError(
-                    graph_index,
-                    f"{exc.detail} (graph {graph_index} of the batch, "
-                    f"algorithm {algorithm!r}, engine {engine!r})",
-                ) from exc
-        finally:
-            if own_pool:
-                active.shutdown()
+    _check_engine(engine)
+    graphs = list(graphs)
+    n = len(graphs)
+    metrics = obs.metrics()
+    metrics.counter("parallel.batch_calls").inc()
+    metrics.counter("parallel.batch_graphs").inc(n)
+    if n == 0:
+        return []
 
-        for group, (rep_index, data) in enumerate(zip(rep_indices, raw)):
-            schedule = _schedule_from_data(data)
-            results[rep_index] = schedule
-            if cache is not None:
-                cache._put(forms[rep_index], k, beta, tag, schedule)
-                for member in members[group]:
-                    results[member] = cache._get(forms[member], k, beta, tag)
-        assert all(s is not None for s in results)
-        return results  # type: ignore[return-value]
+    serial = pool is None and (jobs == 1)
+    if not serial and pool is None:
+        if min_parallel_items is not None:
+            fallback = n < min_parallel_items
+        else:
+            fallback = _estimated_cost(graphs) < MIN_PARALLEL_COST
+        if fallback:
+            metrics.counter("parallel.batch.serial_fallback").inc()
+            serial = True
+    if serial:
+        return [
+            cached_schedule(
+                g, k=k, beta=beta, algorithm=algorithm, engine=engine,
+                cache=cache,
+            )
+            for g in graphs
+        ]
+
+    # Single pass in submission order, mirroring the serial cached loop:
+    # a graph either hits the parent cache, opens a new canonical group
+    # (becoming its representative), or joins an existing group.  Each
+    # graph's canonical form is sorted once and reused for every
+    # lookup and store below.
+    tag = cache_tag(algorithm, engine)
+    results: list[Schedule | None] = [None] * n
+    forms: list = [None] * n  # canonical form per graph (cached batches)
+    rep_indices: list[int] = []  # representative graph index per group
+    group_of: dict[tuple, int] = {}  # canonical signature -> group number
+    members: list[list[int]] = []  # non-representative indices per group
+    for i, graph in enumerate(graphs):
+        if cache is not None:
+            forms[i] = form = _canonical(graph)
+            group = group_of.get(form[0])
+            if group is not None:
+                members[group].append(i)
+                continue
+            hit = cache._get(form, k, beta, tag)
+            if hit is not None:
+                results[i] = hit
+                continue
+            group_of[form[0]] = len(rep_indices)
+        rep_indices.append(i)
+        members.append([])
+
+    payloads = [
+        (
+            encode_graph(graphs[i]),
+            algorithm,
+            k,
+            beta,
+            engine,
+            cache is not None,
+        )
+        for i in rep_indices
+    ]
+    metrics.counter("parallel.batch_dispatched").inc(len(payloads))
+
+    own_pool = pool is None
+    active = (
+        pool
+        if pool is not None
+        else make_schedule_pool(
+            jobs, retry=retry, task_timeout=task_timeout,
+            fault_plan=fault_plan,
+        )
+    )
+    try:
+        try:
+            raw = active.map(payloads, chunk_size=chunk_size)
+        except WorkerTaskError as exc:
+            graph_index = rep_indices[exc.index]
+            raise WorkerTaskError(
+                graph_index,
+                f"{exc.detail} (graph {graph_index} of the batch, "
+                f"algorithm {algorithm!r}, engine {engine!r})",
+            ) from exc
+    finally:
+        if own_pool:
+            active.shutdown()
+
+    for group, (rep_index, data) in enumerate(zip(rep_indices, raw)):
+        schedule = _schedule_from_data(data)
+        results[rep_index] = schedule
+        if cache is not None:
+            cache._put(forms[rep_index], k, beta, tag, schedule)
+            for member in members[group]:
+                results[member] = cache._get(forms[member], k, beta, tag)
+    assert all(s is not None for s in results)
+    return results  # type: ignore[return-value]

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -416,7 +415,6 @@ def schedule_and_run_resilient(
     faults: "FaultPlan | None" = None,
     retry: "RetryPolicy | None" = None,
     checkpoint: "CheckpointStore | str | os.PathLike | None" = None,
-    metrics_port: int | None = None,
     churn=None,
     segment_steps: int = 4,
 ) -> ResilientRunReport:
@@ -456,10 +454,6 @@ def schedule_and_run_resilient(
     a process killed mid-run can be finished with
     :func:`resume_and_run_resilient` and the same payloads.
 
-    ``metrics_port`` serves live telemetry for the duration of the call
-    (a :class:`~repro.obs.server.MetricsServer` on that port; ``0``
-    picks an ephemeral one).
-
     ``engine`` picks the peeling engine for the initial schedule *and*
     every recovery round (see :data:`repro.core.wrgp.VALID_ENGINES`).
     Pass the same engine to :func:`resume_and_run_resilient` — with the
@@ -469,39 +463,33 @@ def schedule_and_run_resilient(
     from repro.resilience.recovery import _drive, _opened
     from repro.runtime.churn import _Runtime, run_resilient_churn
 
-    serving = nullcontext()
-    if metrics_port is not None:
-        from repro.obs.server import MetricsServer
-
-        serving = MetricsServer(port=metrics_port)
-    with serving:
-        if churn is not None:
-            if checkpoint is not None:
-                raise ConfigError(
-                    "churned runtime runs are not checkpointable; use "
-                    "kpbs watch (repro.netsim.watch) for a resumable churn run"
-                )
-            if amount_to_bytes != 1.0:
-                raise ConfigError(
-                    "the churn executor schedules byte counts directly; "
-                    f"amount_to_bytes must be 1, got {amount_to_bytes}"
-                )
-            return run_resilient_churn(
-                cluster, payloads, destinations, churn, k=k, beta=beta,
-                method=method, engine=engine, segment_steps=segment_steps,
-                cache=cache, faults=faults, retry=retry,
+    if churn is not None:
+        if checkpoint is not None:
+            raise ConfigError(
+                "churned runtime runs are not checkpointable; use "
+                "kpbs watch (repro.netsim.watch) for a resumable churn run"
             )
-        backend = _Runtime(
-            cluster, payloads, destinations, {eid: b"" for eid in payloads},
-            faults=faults, amount_to_bytes=amount_to_bytes,
+        if amount_to_bytes != 1.0:
+            raise ConfigError(
+                "the churn executor schedules byte counts directly; "
+                f"amount_to_bytes must be 1, got {amount_to_bytes}"
+            )
+        return run_resilient_churn(
+            cluster, payloads, destinations, churn, k=k, beta=beta,
+            method=method, engine=engine, segment_steps=segment_steps,
+            cache=cache, faults=faults, retry=retry,
         )
-        with _opened(checkpoint) as store:
-            run = _drive(
-                backend, store, *backend.ledger(), extra={"engine": "runtime"},
-                graph=graph, method=method, engine=engine, k=k, beta=beta,
-                cache=cache, retry=retry,
-            )
-        return _report(run, backend, k, beta)
+    backend = _Runtime(
+        cluster, payloads, destinations, {eid: b"" for eid in payloads},
+        faults=faults, amount_to_bytes=amount_to_bytes,
+    )
+    with _opened(checkpoint) as store:
+        run = _drive(
+            backend, store, *backend.ledger(), extra={"engine": "runtime"},
+            graph=graph, method=method, engine=engine, k=k, beta=beta,
+            cache=cache, retry=retry,
+        )
+    return _report(run, backend, k, beta)
 
 
 def resume_and_run_resilient(

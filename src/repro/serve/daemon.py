@@ -702,22 +702,25 @@ class ScheduleServer:
                     entries, schedules, bounds
                 ):
                     metrics.counter("serve.schedules_total").inc()
-                    answer = ok_response(
-                        op="schedule",
-                        schedule=sched.to_dict(),
-                        cost=sched.cost,
-                        num_steps=sched.num_steps,
-                        lower_bound=bound,
-                        algorithm=algorithm,
-                        engine=engine,
-                        degraded=degraded,
-                        degraded_level=level if degraded else 0,
-                    )
-                    if memo_key is not None:
-                        answer = encode_frame(FRAME_RESPONSE, answer)
-                        self._answers[memo_key] = answer
-                        if len(self._answers) > self.config.cache_size:
-                            self._answers.popitem(last=False)
+                    try:
+                        answer = ok_response(
+                            op="schedule",
+                            schedule=sched.to_dict(),
+                            cost=sched.cost,
+                            num_steps=sched.num_steps,
+                            lower_bound=bound,
+                            algorithm=algorithm,
+                            engine=engine,
+                            degraded=degraded,
+                            degraded_level=level if degraded else 0,
+                        )
+                        if memo_key is not None:
+                            answer = encode_frame(FRAME_RESPONSE, answer)
+                            self._answers[memo_key] = answer
+                            if len(self._answers) > self.config.cache_size:
+                                self._answers.popitem(last=False)
+                    except Exception as exc:  # must not strand the batch
+                        answer = _internal_error("schedule_answer", exc)
                     self._resolve(item, answer)
 
     def _compute_group(self, graphs, algorithm, engine, k, beta):

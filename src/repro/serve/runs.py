@@ -24,14 +24,7 @@ from pathlib import Path
 from typing import Mapping
 
 from repro import obs
-from repro.resilience.faults import FaultSpec
-from repro.resilience.retry import RetryPolicy
-from repro.runtime.seeded import (
-    RUN_CONFIG_NAME,
-    delivered_digest,
-    transfer_case,
-    transfer_cluster,
-)
+from repro.runtime.seeded import RUN_CONFIG_NAME, delivered_digest, run_transfer
 from repro.util.errors import ConfigError, ReproError
 
 __all__ = ["RunActiveError", "RunRegistry", "RESULT_NAME"]
@@ -39,77 +32,12 @@ __all__ = ["RunActiveError", "RunRegistry", "RESULT_NAME"]
 #: Result sidecar a finished run drops next to its journal.
 RESULT_NAME = "result.json"
 
-#: Journal file name (mirrors repro.resilience.journal.JOURNAL_NAME
-#: without importing the heavy module at import time).
-_JOURNAL_NAME = "journal.kpbj"
-
 #: Run ids become directory names: one path component, no traversal.
 _RUN_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
-
-#: run.json keys with daemon-side defaults (the same shapes
-#: ``kpbs transfer`` records, so ``kpbs resume`` understands them).
-_CONFIG_DEFAULTS: dict[str, object] = {
-    "seed": 0,
-    "n1": 3,
-    "n2": 3,
-    "payload_kb": 64.0,
-    "k": 3,
-    "beta": 0.0,
-    "method": "oggp",
-    "engine": "fast",
-    "nic_mbit": 1000.0,
-    "backbone_mbit": 1000.0,
-    "faults": None,
-    "retries": None,
-}
-_INT_KEYS = ("seed", "n1", "n2", "k")
-_FLOAT_KEYS = ("payload_kb", "beta", "nic_mbit", "backbone_mbit")
-#: Schedulers a transfer run accepts (``kpbs transfer --algorithm``).
-_METHODS = ("ggp", "oggp")
 
 
 class RunActiveError(ReproError):
     """The run is already executing (here or in another process)."""
-
-
-def _normalize_config(params: Mapping) -> dict:
-    from repro.core.wrgp import _check_engine
-
-    unknown = sorted(set(params) - set(_CONFIG_DEFAULTS))
-    if unknown:
-        known = ", ".join(sorted(_CONFIG_DEFAULTS))
-        raise ConfigError(
-            f"unknown transfer parameter(s) {', '.join(unknown)}; "
-            f"valid keys: {known}"
-        )
-    config = dict(_CONFIG_DEFAULTS)
-    config.update(params)
-    try:
-        for key in _INT_KEYS:
-            config[key] = int(config[key])
-        for key in _FLOAT_KEYS:
-            config[key] = float(config[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad transfer parameter: {exc}") from exc
-    for key in ("n1", "n2", "k"):
-        if config[key] <= 0:
-            raise ConfigError(f"{key} must be positive, got {config[key]}")
-    if config["payload_kb"] <= 0:
-        raise ConfigError(
-            f"payload_kb must be positive, got {config['payload_kb']}"
-        )
-    if config["method"] not in _METHODS:
-        raise ConfigError(
-            f"unknown method {config['method']!r}; valid methods: "
-            + ", ".join(_METHODS)
-        )
-    _check_engine(config["engine"])
-    # Validate fault/retry specs at admission time, not mid-run.
-    if config["faults"]:
-        FaultSpec.parse(str(config["faults"]))
-    if config["retries"] is not None:
-        RetryPolicy.parse(str(config["retries"]))
-    return config
 
 
 class RunRegistry:
@@ -173,19 +101,44 @@ class RunRegistry:
                 result = json.loads(result_path.read_text())
                 result["cached"] = True
                 return result
-            config_path = rdir / RUN_CONFIG_NAME
-            if config_path.is_file():
-                # A previous attempt got as far as recording its config:
-                # finish it with the *recorded* parameters (the request's
-                # own params must not fork the run mid-flight).
-                config = json.loads(config_path.read_text())
-                return self._finish(run_id, rdir, config, resumed=True)
-            config = _normalize_config(params)
-            rdir.mkdir(parents=True, exist_ok=True)
-            # The sidecar lands durably before the first byte moves, so
-            # a run killed at any point afterwards is resumable.
-            config_path.write_text(json.dumps(config, indent=2))
-            return self._finish(run_id, rdir, config, resumed=False)
+            # A previous attempt that got as far as recording its config
+            # finishes with the *recorded* parameters (the request's own
+            # params must not fork the run mid-flight).
+            resumed = (rdir / RUN_CONFIG_NAME).is_file()
+            started = time.monotonic()
+            try:
+                report = run_transfer(
+                    rdir, None if resumed else params, cache=self._cache,
+                    fsync=self.fsync, snapshot_every=self.snapshot_every,
+                )
+            except ConfigError as exc:
+                if "is locked by" in str(exc):
+                    raise RunActiveError(
+                        f"run {run_id!r} is locked by another process: {exc}"
+                    ) from exc
+                raise
+            result = {
+                "run_id": run_id,
+                "state": "complete" if report.complete else "failed",
+                "complete": report.complete,
+                "resumed": resumed,
+                "rounds": report.rounds,
+                "bytes_moved": report.bytes_moved,
+                "delivered_bytes": sum(
+                    len(p) for p in report.delivered.values()
+                ),
+                "digest": delivered_digest(report.delivered),
+                "seconds": round(time.monotonic() - started, 6),
+            }
+            self._write_result(rdir, result)
+            obs.emit(
+                "server.run_complete",
+                run_id=run_id,
+                complete=report.complete,
+                resumed=resumed,
+                digest=result["digest"],
+            )
+            return result
         finally:
             with self._mutex:
                 self._active.discard(run_id)
@@ -215,10 +168,11 @@ class RunRegistry:
     def resume_incomplete(self) -> list[dict]:
         """Finish every run a crash left behind; returns their results.
 
-        A run that cannot run — its stored config names an engine or
-        method this version does not know, or its journal is unreadable —
-        gets a ``failed`` result and a ``server.error`` event, and the
-        next run is resumed.  A run another process holds still raises
+        A run that cannot run — its stored ``run.json`` fails
+        :func:`~repro.runtime.seeded.transfer_config` (not JSON, a key
+        missing, an engine or method this version does not know), or its
+        journal is unreadable — gets a ``failed`` result and a
+        ``server.error`` event, and the next run is resumed.  A run another process holds still raises
         :class:`RunActiveError`.
         """
         results = []
@@ -247,86 +201,3 @@ class RunRegistry:
         tmp = rdir / (RESULT_NAME + ".tmp")
         tmp.write_text(json.dumps(result, indent=2, sort_keys=True))
         os.replace(tmp, rdir / RESULT_NAME)
-
-    def _resilience(self, config: Mapping) -> tuple:
-        faults = None
-        if config.get("faults"):
-            faults = FaultSpec.parse(str(config["faults"])).plan()
-        retry = None
-        if config.get("retries") is not None:
-            retry = RetryPolicy.parse(str(config["retries"]))
-        return faults, retry
-
-    def _finish(
-        self, run_id: str, rdir: Path, config: Mapping, resumed: bool
-    ) -> dict:
-        from repro.resilience import CheckpointStore
-        from repro.runtime import (
-            resume_and_run_resilient,
-            schedule_and_run_resilient,
-        )
-
-        graph, payloads, destinations = transfer_case(
-            config["seed"], config["n1"], config["n2"],
-            int(config["payload_kb"] * 1024),
-        )
-        cluster = transfer_cluster(config)
-        faults, retry = self._resilience(config)
-        journal = rdir / _JOURNAL_NAME
-        started = time.monotonic()
-        try:
-            if journal.is_file() and journal.stat().st_size > 0:
-                store = CheckpointStore.resume(
-                    rdir, fsync=self.fsync, snapshot_every=self.snapshot_every
-                )
-                try:
-                    report = resume_and_run_resilient(
-                        cluster, store, payloads,
-                        engine=config.get("engine", "fast"),
-                        cache=self._cache, faults=faults, retry=retry,
-                    )
-                finally:
-                    store.close()
-            else:
-                store = CheckpointStore(
-                    rdir, fsync=self.fsync, snapshot_every=self.snapshot_every
-                )
-                try:
-                    report = schedule_and_run_resilient(
-                        cluster, graph, config["k"], config["beta"],
-                        payloads, destinations,
-                        method=config.get("method", "oggp"),
-                        engine=config.get("engine", "fast"),
-                        cache=self._cache, faults=faults, retry=retry,
-                        checkpoint=store,
-                    )
-                finally:
-                    store.close()
-        except ConfigError as exc:
-            if "is locked by" in str(exc):
-                raise RunActiveError(
-                    f"run {run_id!r} is locked by another process: {exc}"
-                ) from exc
-            raise
-        result = {
-            "run_id": run_id,
-            "state": "complete" if report.complete else "failed",
-            "complete": report.complete,
-            "resumed": resumed,
-            "rounds": report.rounds,
-            "bytes_moved": report.bytes_moved,
-            "delivered_bytes": sum(
-                len(p) for p in report.delivered.values()
-            ),
-            "digest": delivered_digest(report.delivered),
-            "seconds": round(time.monotonic() - started, 6),
-        }
-        self._write_result(rdir, result)
-        obs.emit(
-            "server.run_complete",
-            run_id=run_id,
-            complete=report.complete,
-            resumed=resumed,
-            digest=result["digest"],
-        )
-        return result

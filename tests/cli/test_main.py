@@ -196,14 +196,14 @@ class TestResilienceFlags:
         assert args.retries == "2"
 
     def test_retries_spec_reaches_the_policy(self):
-        from repro.cli.main import _parse_retry
+        from repro.runtime.seeded import resilience_options
 
-        policy = _parse_retry("attempts=5,max-elapsed=30", 12.0)
+        _, policy = resilience_options(None, "attempts=5,max-elapsed=30", 12.0)
         assert policy.max_attempts == 5
         assert policy.max_elapsed == 30.0
         assert policy.task_timeout == 12.0
         # Historical integer form (old run.json files store ints).
-        assert _parse_retry(4, None).max_attempts == 4
+        assert resilience_options(None, 4)[1].max_attempts == 4
 
 
 class TestObservabilityFlags:
@@ -435,6 +435,15 @@ class TestTransfer:
         config = json.loads((ckdir / "run.json").read_text())
         assert config["seed"] == 3
 
+    @pytest.mark.parametrize("payload_kb", ["-1", "0"])
+    def test_non_positive_payload_fails_cleanly(self, tmp_path, capsys,
+                                                payload_kb):
+        ckdir = tmp_path / "ck"
+        assert main(["transfer", *self.FAST, "--payload-kb", payload_kb,
+                     "--checkpoint-dir", str(ckdir)]) == 2
+        assert "payload_kb must be positive" in capsys.readouterr().err
+        assert not ckdir.exists()
+
     def test_digest_is_deterministic(self, capsys):
         main(["transfer", "--seed", "3", *self.FAST])
         first = self.digest(capsys.readouterr().out)
@@ -467,9 +476,60 @@ class TestResume:
         assert "complete:  True" in out
         assert TestTransfer.digest(self, out) == reference
 
-    def test_resume_without_run_config_fails_cleanly(self, tmp_path, capsys):
-        assert main(["resume", "--checkpoint-dir", str(tmp_path)]) == 2
-        assert "run.json" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "stored, match",
+        [
+            (None, "no run.json"),
+            ("{}", "lacks seed"),
+            ("[1, 2]", "not an object"),
+            ("not json", "not valid JSON"),
+            ('{"mode": "watch"}', "lacks churn"),
+        ],
+        ids=["missing", "empty", "list", "not-json", "watch-keys"],
+    )
+    def test_resume_without_run_config_fails_cleanly(
+        self, tmp_path, capsys, stored, match
+    ):
+        ckdir = tmp_path / "ck"
+        main(["transfer", "--seed", "5", "--checkpoint-dir", str(ckdir),
+              *self.FAST, *self.FAULTS, "--retries", "1"])
+        capsys.readouterr()
+        if stored is None:
+            (ckdir / "run.json").unlink()
+        else:
+            (ckdir / "run.json").write_text(stored)
+        journal = (ckdir / "journal.kpbj").read_bytes()
+        assert main(["resume", "--checkpoint-dir", str(ckdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and match in err
+        assert (ckdir / "journal.kpbj").read_bytes() == journal
+
+    @pytest.mark.parametrize("journal", [False, True], ids=["config-only", "partial"])
+    def test_resume_finishes_a_daemon_run(self, tmp_path, capsys, journal):
+        from repro.resilience.journal import JOURNAL_NAME, SNAPSHOT_NAME
+        from repro.serve import RunRegistry
+
+        params = {"seed": 5, "n1": 2, "n2": 2, "payload_kb": 16, "k": 2,
+                  "nic_mbit": 100000, "backbone_mbit": 100000}
+        reference = RunRegistry(tmp_path / "ref").execute("r", params)
+        registry = RunRegistry(tmp_path / "state")
+        # A daemon run whose retry budget starved: the journal holds a
+        # delivered prefix.  Without its journal it is a run killed
+        # right after its run.json landed.
+        result = registry.execute(
+            "r", {**params, "faults": "seed=9,transfer=0.35", "retries": 1}
+        )
+        assert result["complete"] is False
+        rdir = registry.run_dir("r")
+        (rdir / "result.json").unlink()
+        if not journal:
+            for name in (JOURNAL_NAME, SNAPSHOT_NAME):
+                (rdir / name).unlink(missing_ok=True)
+        assert main(["resume", "--checkpoint-dir", str(rdir),
+                     "--retries", "8"]) == 0
+        out = capsys.readouterr().out
+        assert "complete:  True" in out
+        assert TestTransfer.digest(self, out) == reference["digest"]
 
     @pytest.mark.parametrize("retries", ["1", "8"], ids=["partial", "complete"])
     def test_stored_resume_engine_fails_cleanly(self, tmp_path, capsys, retries):

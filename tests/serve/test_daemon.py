@@ -216,6 +216,42 @@ class TestRobustness:
         assert (overflow["code"], bug["code"]) == ("BAD_REQUEST", "INTERNAL")
         assert "parser bug" in bug["detail"]
 
+    def test_answer_building_error_does_not_strand_its_batch(
+        self, server, monkeypatch
+    ):
+        # The k=3 group's schedule cannot be turned into an answer; that
+        # item is answered INTERNAL and the k=2 group after it still gets
+        # its schedule, instead of both waiting out their deadline.
+        from repro.core.schedule import Schedule
+
+        daemon = server.server
+        to_dict = Schedule.to_dict
+
+        def flaky(schedule):
+            if schedule.k == 3:
+                raise RuntimeError("answer bug")
+            return to_dict(schedule)
+
+        monkeypatch.setattr(Schedule, "to_dict", flaky)
+
+        async def one_batch(docs):
+            loop = asyncio.get_running_loop()
+            items = [
+                QueueItem("t", "schedule", doc, b"", loop.create_future(),
+                          loop.time())
+                for doc in docs
+            ]
+            await daemon._run_schedule_batch(items)
+            return [item.future.result() for item in items]
+
+        bug, good = asyncio.run_coroutine_threadsafe(
+            one_batch([{"matrix": MATRIX, "k": 3}, {"matrix": MATRIX, "k": 2}]),
+            daemon._loop,
+        ).result(60)
+        assert (bug["status"], bug["code"]) == ("error", "INTERNAL")
+        assert "answer bug" in bug["detail"]
+        assert good["status"] == "ok" and good["schedule"]["k"] == 2
+
     def test_deadline_expired_is_prompt_and_structured(self, client):
         big = np.random.default_rng(3).uniform(1, 9, (40, 40)).tolist()
         started = time.monotonic()

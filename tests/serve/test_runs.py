@@ -54,6 +54,11 @@ class TestExecute:
         with pytest.raises(ConfigError, match="n1"):
             registry.execute("r1", {**PARAMS, "n1": 0})
 
+    def test_overflowing_size_rejected(self, registry):
+        # JSON's 1e400 decodes to inf, which int() cannot take.
+        with pytest.raises(ConfigError, match="bad transfer parameter"):
+            registry.execute("r1", {**PARAMS, "n1": float("inf")})
+
     @pytest.mark.parametrize(
         "bad, match",
         [
@@ -102,6 +107,10 @@ class TestCrashRecovery:
         # sort before the valid crashed run.
         self.config_only_run(registry, "a", engine="bogus")
         self.config_only_run(registry, "b", method="nope")
+        # Not a config at all: no keys, or no JSON.
+        for run_id, text in (("b-empty", "{}"), ("b-text", "not json")):
+            registry.run_dir(run_id).mkdir(parents=True)
+            (registry.run_dir(run_id) / RUN_CONFIG_NAME).write_text(text)
         self.config_only_run(registry, "c-good")
         with obs.observed() as (_registry, _tracer):
             results = registry.resume_incomplete()
@@ -110,14 +119,18 @@ class TestCrashRecovery:
                 if e.kind == "server.error"
             ]
         by_id = {r["run_id"]: r for r in results}
-        assert sorted(by_id) == ["a", "b", "c-good"]
-        for run_id, match in (("a", "'bogus'"), ("b", "'nope'")):
+        failed = ["a", "b", "b-empty", "b-text"]
+        assert sorted(by_id) == [*failed, "c-good"]
+        for run_id, match in (
+            ("a", "'bogus'"), ("b", "'nope'"), ("b-empty", "lacks seed"),
+            ("b-text", "not valid JSON"),
+        ):
             assert by_id[run_id]["state"] == "failed"
             assert match in by_id[run_id]["error"]
             assert registry.status(run_id)["state"] == "failed"
         assert by_id["c-good"]["complete"] is True
         assert by_id["c-good"]["digest"] == reference["digest"]
-        assert [e["run_id"] for e in errors] == ["a", "b"]
+        assert [e["run_id"] for e in errors] == failed
         # Every run now has a result: the next start resumes nothing.
         assert registry.incomplete_runs() == []
 

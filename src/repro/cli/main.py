@@ -56,7 +56,7 @@ from repro.netsim.runner import run_redistribution, uniform_traffic
 from repro.netsim.topology import NetworkSpec
 from repro.resilience import FaultSpec, RetryPolicy
 from repro.runtime import seeded
-from repro.util.errors import ConfigError, ReproError
+from repro.util.errors import ReproError
 
 
 def _cmd_experiments(_args: argparse.Namespace) -> int:
@@ -78,11 +78,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.task_timeout is not None:
         extra["task_timeout"] = args.task_timeout
     if name in ("fig7", "fig8", "fig9") and not extra and (
-        args.draws is not None or args.processes > 1 or args.jobs is not None
+        args.draws is not None or args.jobs is not None
     ):
-        config = SimulationConfig(draws=args.draws or 300)
+        draws = {} if args.draws is None else {"draws": args.draws}
+        config = SimulationConfig(**draws)
         runner = {"fig7": run_fig7, "fig8": run_fig8, "fig9": run_fig9}[name]
-        result = runner(config, processes=args.processes, jobs=args.jobs)
+        result = runner(config, jobs=1 if args.jobs is None else args.jobs)
     elif name in ("fig10", "fig11") and not extra and (
         args.size_scale != 1.0 or args.repeats is not None
         or args.jobs is not None
@@ -282,30 +283,18 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
 
 def _cmd_resume(args: argparse.Namespace) -> int:
     """Finish a killed ``kpbs transfer``/``kpbs watch`` run."""
-    config = seeded.read_run_config(args.checkpoint_dir)
-    if config.get("mode") == "watch":
-        return _resume_watch(args, config)
-    # Same spec the original process recorded → same payload bytes and
-    # the same deterministic fault trajectory; CLI flags override.
-    report = seeded.run_transfer(
-        args.checkpoint_dir, faults=args.faults, retries=args.retries,
-        task_timeout=args.task_timeout, cache=None,
-        fsync=args.fsync, snapshot_every=args.snapshot_every,
+    # The recorded config rebuilds the same payloads or traffic and fault
+    # trajectory; CLI flags override its faults/retries.
+    options = dict(
+        faults=args.faults, retries=args.retries,
+        task_timeout=args.task_timeout, fsync=args.fsync,
+        snapshot_every=args.snapshot_every,
     )
+    if seeded.read_run_config(args.checkpoint_dir).get("mode") == "watch":
+        out = seeded.run_watch(args.checkpoint_dir, **options)
+        return _print_watch_outcome(out, verbose=True)
+    report = seeded.run_transfer(args.checkpoint_dir, **options)
     return _print_transfer_report(report)
-
-
-def _watch_spec(config: dict) -> NetworkSpec:
-    """The simulated platform a ``kpbs watch`` run.json describes."""
-    rate = 100.0 / config["k"]
-    return NetworkSpec(
-        n1=config["n1"],
-        n2=config["n2"],
-        nic_rate1=rate,
-        nic_rate2=rate,
-        backbone_rate=100.0,
-        step_setup=config["beta"],
-    )
 
 
 def _print_watch_outcome(out, verbose: bool) -> int:
@@ -342,92 +331,14 @@ def _print_watch_outcome(out, verbose: bool) -> int:
 
 def _cmd_watch(args: argparse.Namespace) -> int:
     """Run a live-churn redistribution with splice repair."""
-    from repro.netsim.watch import run_redistribution_churn
-    from repro.resilience import CheckpointStore, ChurnSpec
-
-    churn = ChurnSpec.parse(args.churn).process()
-    faults, retry = seeded.resilience_options(
-        args.faults, args.retries, args.task_timeout
+    out = seeded.run_watch(
+        args.checkpoint_dir or None,
+        {key: getattr(args, key) for key in seeded.WATCH_DEFAULTS
+         if key != "mode"},
+        task_timeout=args.task_timeout,
+        fsync=args.fsync, snapshot_every=args.snapshot_every,
     )
-    config = {
-        "mode": "watch",
-        "seed": args.seed,
-        "n1": args.n1,
-        "n2": args.n2,
-        "k": args.k,
-        "beta": args.beta,
-        "max_mb": args.max_mb,
-        "method": args.algorithm,
-        "engine": args.engine,
-        "churn": args.churn,
-        "segment_steps": args.segment_steps,
-        "max_ratio": args.max_ratio,
-        "max_affected": args.max_affected,
-        "faults": args.faults,
-        "retries": args.retries,
-    }
-    spec = _watch_spec(config)
-    traffic = uniform_traffic(args.seed, spec.n1, spec.n2, 1.0, args.max_mb)
-    checkpoint = None
-    if args.checkpoint_dir:
-        ckdir = Path(args.checkpoint_dir)
-        ckdir.mkdir(parents=True, exist_ok=True)
-        (ckdir / seeded.RUN_CONFIG_NAME).write_text(
-            json.dumps(config, indent=2)
-        )
-        checkpoint = CheckpointStore(
-            ckdir, fsync=args.fsync, snapshot_every=args.snapshot_every
-        )
-    try:
-        out = run_redistribution_churn(
-            spec, traffic, args.algorithm, churn,
-            segment_steps=args.segment_steps,
-            cache=None,
-            faults=faults, retry=retry, checkpoint=checkpoint,
-            engine=args.engine,
-            max_ratio=args.max_ratio,
-            max_affected_frac=args.max_affected,
-        )
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
     return _print_watch_outcome(out, not args.quiet)
-
-
-#: Keys a ``kpbs watch`` run.json must hold for the run to be resumed.
-_WATCH_KEYS = ("churn", "n1", "n2", "k", "beta")
-
-
-def _resume_watch(args: argparse.Namespace, config: dict) -> int:
-    """Finish a killed ``kpbs watch`` run bit-identically."""
-    from repro.netsim.watch import resume_redistribution_churn
-    from repro.resilience import CheckpointStore, ChurnSpec
-
-    missing = [key for key in _WATCH_KEYS if key not in config]
-    if missing:
-        raise ConfigError(f"watch run.json lacks {', '.join(missing)}")
-    churn = ChurnSpec.parse(config["churn"]).process()
-    faults, retry = seeded.resilience_options(
-        args.faults or config.get("faults"),
-        config.get("retries") if args.retries is None else args.retries,
-        args.task_timeout,
-    )
-    store = CheckpointStore.resume(
-        args.checkpoint_dir, fsync=args.fsync,
-        snapshot_every=args.snapshot_every,
-    )
-    try:
-        out = resume_redistribution_churn(
-            _watch_spec(config), store, churn,
-            cache=None,
-            faults=faults, retry=retry,
-            engine=config.get("engine", "fast"),
-            max_ratio=config.get("max_ratio", 1.5),
-            max_affected_frac=config.get("max_affected", 0.5),
-        )
-    finally:
-        store.close()
-    return _print_watch_outcome(out, verbose=True)
 
 
 def _cmd_demo(_args: argparse.Namespace) -> int:
@@ -648,17 +559,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("experiment", choices=sorted(EXPERIMENTS))
     p.add_argument("--draws", type=int, default=None, help="draws per point (figs 7-9)")
     p.add_argument(
-        "--processes", type=int, default=1,
-        help="parallel worker processes for figs 7-9 (paper-scale runs)",
-    )
-    p.add_argument(
         "--size-scale", type=float, default=1.0,
         help="scale message sizes (figs 10/11; <1 for quick runs)",
     )
     p.add_argument("--repeats", type=int, default=None, help="TCP repeats (figs 10/11)")
     p.add_argument(
         "--jobs", type=int, default=None,
-        help="worker processes for batch scheduling (0 = all CPUs)",
+        help="worker processes for batch scheduling and the draws of "
+        "figs 7-9 (0 = all CPUs)",
     )
     p.add_argument("--csv", type=str, default=None, help="also write rows to CSV")
     _add_resilience_args(p)
@@ -760,23 +668,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="live-churn redistribution: segmented execution with "
         "splice repair",
     )
-    p.add_argument("--seed", type=int, default=0, help="traffic seed")
-    p.add_argument("--n1", type=int, default=10, help="sender cluster size")
-    p.add_argument("--n2", type=int, default=10, help="receiver cluster size")
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--beta", type=float, default=0.01)
+    watch = seeded.WATCH_DEFAULTS  # the one statement of each default
+    p.add_argument("--seed", type=int, default=watch["seed"], help="traffic seed")
+    p.add_argument("--n1", type=int, default=watch["n1"], help="sender cluster size")
+    p.add_argument("--n2", type=int, default=watch["n2"], help="receiver cluster size")
+    p.add_argument("--k", type=int, default=watch["k"])
+    p.add_argument("--beta", type=float, default=watch["beta"])
     p.add_argument(
-        "--max-mb", type=float, default=60.0,
+        "--max-mb", type=float, default=watch["max_mb"],
         help="max traffic per sender/receiver pair (MB)",
     )
-    p.add_argument("--algorithm", choices=("ggp", "oggp"), default="oggp")
     p.add_argument(
-        "--engine", choices=sorted(VALID_ENGINES), default="fast",
+        "--algorithm", dest="method", choices=("ggp", "oggp"),
+        default=watch["method"],
+    )
+    p.add_argument(
+        "--engine", choices=sorted(VALID_ENGINES), default=watch["engine"],
         help="peeling engine for the initial, spliced and fallback "
         "schedules",
     )
     p.add_argument(
-        "--churn", metavar="SPEC", default="seed=0,events=0",
+        "--churn", metavar="SPEC", default=watch["churn"],
         help=(
             "live churn spec: key=value list (seed=, inject=, remove=, "
             "resize= rates per event, events=, size=LO:HI, "
@@ -784,16 +696,16 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument(
-        "--segment-steps", type=int, default=4, metavar="N",
+        "--segment-steps", type=int, default=watch["segment_steps"], metavar="N",
         help="plan steps executed between churn/repair points",
     )
     p.add_argument(
-        "--max-ratio", type=float, default=1.5,
+        "--max-ratio", type=float, default=watch["max_ratio"],
         help="fall back to a full reschedule when the spliced cost "
         "exceeds this multiple of the residual lower bound",
     )
     p.add_argument(
-        "--max-affected", type=float, default=0.5,
+        "--max-affected", type=float, default=watch["max_affected"],
         help="fall back when more than this fraction of pending edges "
         "is affected",
     )

@@ -18,22 +18,20 @@ DEFAULT_K_VALUES: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 8, 10, 12, 14, 16, 18, 20
 def run_fig7(
     config: SimulationConfig | None = None,
     k_values: Sequence[int] = DEFAULT_K_VALUES,
-    processes: int = 1,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> ExperimentResult:
     """Regenerate Figure 7's four curves (avg/max ratio for GGP/OGGP).
 
-    ``jobs`` (the CLI's ``--jobs``) overrides ``processes`` when given;
-    both name the worker-process count for the draw sweep.
+    ``jobs`` (the CLI's ``--jobs``) is the worker-process count for the
+    draw sweep; see :func:`~repro.experiments.simulation.measure_ratios`.
     """
     config = config or SimulationConfig()
-    processes = processes if jobs is None else jobs
     rows = []
     x: list[float] = []
     ggp_avg, ggp_max, oggp_avg, oggp_max = [], [], [], []
     for i, k in enumerate(k_values):
         point = measure_ratios(config, k=k, beta=1.0, point_index=i,
-                               processes=processes)
+                               jobs=jobs)
         x.append(float(k))
         ggp_avg.append(point.ggp.mean)
         ggp_max.append(point.ggp.max)

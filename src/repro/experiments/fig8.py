@@ -18,22 +18,21 @@ from repro.experiments.simulation import SimulationConfig, measure_ratios
 def run_fig8(
     config: SimulationConfig | None = None,
     k_values: Sequence[int] = DEFAULT_K_VALUES,
-    processes: int = 1,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> ExperimentResult:
     """Regenerate Figure 8 (same protocol as Figure 7, weights ≤ 10000).
 
-    ``jobs`` (the CLI's ``--jobs``) overrides ``processes`` when given.
+    ``jobs`` (the CLI's ``--jobs``) is the worker-process count for the
+    draw sweep.
     """
     config = config or SimulationConfig()
     config = replace(config, weight_low=1, weight_high=10_000)
-    processes = processes if jobs is None else jobs
     rows = []
     x: list[float] = []
     ggp_avg, ggp_max, oggp_avg, oggp_max = [], [], [], []
     for i, k in enumerate(k_values):
         point = measure_ratios(config, k=k, beta=1.0,
-                               point_index=1000 + i, processes=processes)
+                               point_index=1000 + i, jobs=jobs)
         x.append(float(k))
         ggp_avg.append(point.ggp.mean)
         ggp_max.append(point.ggp.max)

@@ -21,22 +21,21 @@ DEFAULT_BETA_VALUES: tuple[float, ...] = (
 def run_fig9(
     config: SimulationConfig | None = None,
     beta_values: Sequence[float] = DEFAULT_BETA_VALUES,
-    processes: int = 1,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> ExperimentResult:
     """Regenerate Figure 9 (β sweep; ``k`` random per draw).
 
-    ``jobs`` (the CLI's ``--jobs``) overrides ``processes`` when given.
+    ``jobs`` (the CLI's ``--jobs``) is the worker-process count for the
+    draw sweep.
     """
     config = config or SimulationConfig()
-    processes = processes if jobs is None else jobs
     rows = []
     x: list[float] = []
     ggp_avg, ggp_max, oggp_avg, oggp_max = [], [], [], []
     for i, beta in enumerate(beta_values):
         point = measure_ratios(
             config, k=None, beta=float(beta), point_index=2000 + i,
-            processes=processes,
+            jobs=jobs,
         )
         x.append(float(beta))
         ggp_avg.append(point.ggp.mean)

@@ -108,35 +108,36 @@ def measure_ratios(
     k: int | None,
     beta: float,
     point_index: int,
-    processes: int = 1,
+    jobs: int = 1,
 ) -> RatioPoint:
     """Run ``config.draws`` random instances at one parameter point.
 
     ``k=None`` draws a random ``k ~ U{1..max_side}`` per instance
     (Figure 9's protocol); otherwise the fixed ``k`` is used.  Streams
     are derived per (point, draw), so results don't depend on execution
-    order, on sub-sampling draws, or on ``processes`` — the draws are
-    embarrassingly parallel and ``processes > 1`` fans them out over a
-    persistent :class:`~repro.parallel.pool.WorkerPool` (useful for
-    paper-fidelity 100k-draw runs).
+    order, on sub-sampling draws, or on ``jobs`` — the draws are
+    embarrassingly parallel and ``jobs != 1`` (``0`` = one per CPU) fans
+    them out over a persistent :class:`~repro.parallel.pool.WorkerPool`
+    (useful for paper-fidelity 100k-draw runs).
 
     When :mod:`repro.obs` is enabled, per-draw quality metrics (cost,
     lower bound, evaluation ratio, steps, preemptions) accumulate in
-    the active registry.  With ``processes > 1`` each worker records
+    the active registry.  With worker processes each worker records
     into its own registry, shipped back and merged into the parent's
     at pool shutdown — so profiles stay complete under parallelism.
     """
-    if processes <= 1 or config.draws < 4:
+    from repro.parallel import WorkerPool, resolve_jobs
+
+    jobs = resolve_jobs(jobs)
+    if jobs == 1 or config.draws < 4:
         g, o = _measure_chunk((config, k, beta, point_index, 0, config.draws))
     else:
-        from repro.parallel import WorkerPool
-
-        step = -(-config.draws // processes)
+        step = -(-config.draws // jobs)
         chunks = [
             (config, k, beta, point_index, lo, min(lo + step, config.draws))
             for lo in range(0, config.draws, step)
         ]
-        with WorkerPool(processes, _measure_chunk) as pool:
+        with WorkerPool(jobs, _measure_chunk) as pool:
             parts = pool.map(chunks, chunk_size=1)
         g = [r for part in parts for r in part[0]]
         o = [r for part in parts for r in part[1]]

@@ -46,7 +46,12 @@ from repro.core.cache import canonical_signature  # noqa: F401
 from repro.core.schedule import Schedule, Step, Transfer
 from repro.core.wrgp import _check_engine
 from repro.graph.bipartite import BipartiteGraph
-from repro.parallel.pool import WorkerPool, WorkerTaskError, worker_cache
+from repro.parallel.pool import (
+    WorkerPool,
+    WorkerTaskError,
+    resolve_jobs,
+    worker_cache,
+)
 from repro.parallel.wire import decode_graph, encode_graph
 from repro.util.errors import ConfigError
 
@@ -175,7 +180,8 @@ def schedule_batch(
 
     ``jobs=1`` (the default) runs serially in-process; ``jobs=N`` fans
     the unique instances out over ``N`` persistent worker processes
-    (``None``/``0`` = one per CPU).  Pass a pool from
+    (``None``/``0`` = one per CPU; a negative count is a
+    :class:`ConfigError`).  Pass a pool from
     :func:`make_schedule_pool` to reuse warm workers across calls (the
     pool's worker count then wins over ``jobs``, as do the pool's own
     retry/timeout/fault settings).
@@ -211,6 +217,8 @@ def schedule_batch(
             f"valid: {', '.join(BATCH_ALGORITHMS)}"
         )
     _check_engine(engine)
+    if pool is None:
+        jobs = resolve_jobs(jobs)
     graphs = list(graphs)
     n = len(graphs)
     metrics = obs.metrics()

@@ -559,6 +559,11 @@ class CheckpointStore:
             ) from exc
         self._lock = handle
 
+    def lock(self) -> "CheckpointStore":
+        """Take the directory's lock ahead of :meth:`begin`, which keeps it."""
+        self._acquire_lock()
+        return self
+
     def _release_lock(self) -> None:
         if self._lock is not None:
             try:

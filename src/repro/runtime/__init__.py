@@ -21,7 +21,6 @@ from repro.runtime.executor import (
     run_scheduled,
     run_bruteforce,
     schedule_and_run,
-    schedule_and_run_batch,
     schedule_and_run_resilient,
     resume_and_run_resilient,
     ResilientRunReport,
@@ -46,7 +45,6 @@ __all__ = [
     "run_scheduled",
     "run_bruteforce",
     "schedule_and_run",
-    "schedule_and_run_batch",
     "schedule_and_run_resilient",
     "resume_and_run_resilient",
     "ResilientRunReport",

@@ -38,7 +38,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 from repro import obs
 from repro.core.cache import DEFAULT_SCHEDULE_CACHE, ScheduleCache, cached_schedule
@@ -581,53 +581,6 @@ def _report(run, backend, k: int, beta: float) -> ResilientRunReport:
             for eid, (_src, _dst, remaining) in sorted(run.pending.items())
         ),
     )
-
-
-def schedule_and_run_batch(
-    cluster: LocalCluster,
-    rounds: Sequence[
-        tuple[BipartiteGraph, dict[int, bytes], dict[int, tuple[int, int]]]
-    ],
-    k: int,
-    beta: float,
-    method: str = "oggp",
-    amount_to_bytes: float = 1.0,
-    cache: ScheduleCache | None = DEFAULT_SCHEDULE_CACHE,
-    jobs: int | None = 1,
-    engine: str = "fast",
-) -> list[tuple[Schedule, RuntimeReport]]:
-    """Schedule all rounds up front (batch engine), then execute each.
-
-    ``rounds`` is a sequence of ``(graph, payloads, destinations)``
-    triples.  Scheduling goes through
-    :func:`repro.parallel.schedule_batch` — equivalent patterns are
-    peeled once and ``jobs`` worker processes share the load — and is
-    bit-identical to calling :func:`schedule_and_run` per round with the
-    same cache.  Execution stays sequential: the rounds share one
-    cluster, so running them concurrently would contend for the shapers.
-    """
-    from repro.parallel import schedule_batch
-
-    schedules = schedule_batch(
-        [graph for graph, _, _ in rounds],
-        method,
-        k=k,
-        beta=beta,
-        engine=engine,
-        jobs=jobs,
-        cache=cache,
-    )
-    out: list[tuple[Schedule, RuntimeReport]] = []
-    for schedule, (_graph, payloads, destinations) in zip(schedules, rounds):
-        report = run_scheduled(
-            cluster,
-            schedule,
-            payloads,
-            destinations,
-            amount_to_bytes=amount_to_bytes,
-        )
-        out.append((schedule, report))
-    return out
 
 
 def run_bruteforce(

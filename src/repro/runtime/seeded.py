@@ -1,18 +1,18 @@
-"""Seeded transfer runs shared by ``kpbs transfer``/``resume``/``serve``.
+"""Seeded journaled runs shared by ``kpbs transfer``/``watch``/``resume``/``serve``.
 
-A transfer run is described entirely by a small JSON-able config
-(seed, platform sizes, rates, algorithm) — the payload bytes are a
-pure function of the seed, so neither the journal nor the daemon's
-state directory ever stores them.  ``kpbs resume`` and the serve
-daemon's crash recovery regenerate bit-identical payloads from the
-recorded config; the delivered-bytes digest then proves end-to-end
-bit-identity across crashes.
+A run is described entirely by a small JSON-able config (seed,
+platform sizes, rates, algorithm; a watch run adds its churn and repair
+bounds).  A transfer run's payload bytes and a watch run's traffic are
+pure functions of the seed, so neither the journal nor the daemon's
+state directory ever stores them: ``kpbs resume`` and the daemon's
+crash recovery regenerate them from the recorded config, and the
+delivered digest proves end-to-end bit-identity across crashes.
 
-This module owns the run's whole lifecycle: the ``run.json`` keys and
-their defaults (:data:`CONFIG_DEFAULTS`), the one validator applied to
-fresh parameters and stored sidecars alike (:func:`transfer_config`),
-and the one entry point that starts a run or finishes it from its
-journal (:func:`run_transfer`).  Either side can therefore finish a run
+This module owns every ``run.json``: the keys and defaults of both
+modes (:data:`CONFIG_DEFAULTS`, :data:`WATCH_DEFAULTS`), the one checker
+for fresh parameters and stored sidecars alike, and the one lifecycle
+behind :func:`run_transfer` and :func:`run_watch` that starts a run or
+finishes it from its journal.  Either side can therefore finish a run
 the other started.
 """
 
@@ -21,7 +21,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Mapping
 
@@ -35,13 +37,14 @@ __all__ = [
     "CONFIG_DEFAULTS",
     "MBIT_BYTES",
     "RUN_CONFIG_NAME",
+    "WATCH_DEFAULTS",
     "delivered_digest",
     "read_run_config",
     "resilience_options",
     "run_transfer",
+    "run_watch",
     "transfer_case",
     "transfer_cluster",
-    "transfer_config",
 ]
 
 #: 1 Mbit/s in bytes/s — transfer rate flags are in Mbit/s to match the
@@ -69,50 +72,82 @@ CONFIG_DEFAULTS: dict[str, object] = {
     "faults": None,
     "retries": None,
 }
-_INT_KEYS = ("seed", "n1", "n2", "k")
-_FLOAT_KEYS = ("payload_kb", "beta", "nic_mbit", "backbone_mbit")
-#: Schedulers a transfer run accepts (``kpbs transfer --algorithm``).
+#: The keys of a watch ``run.json`` (``kpbs watch``'s flags), likewise.
+WATCH_DEFAULTS: dict[str, object] = {
+    "mode": "watch",
+    "seed": 0,
+    "n1": 10,
+    "n2": 10,
+    "k": 3,
+    "beta": 0.01,
+    "max_mb": 60.0,
+    "method": "oggp",
+    "engine": "fast",
+    "churn": "seed=0,events=0",
+    "segment_steps": 4,
+    "max_ratio": 1.5,
+    "max_affected": 0.5,
+    "faults": None,
+    "retries": None,
+}
+#: The least value of each bounded number (``uniform_traffic`` draws a
+#: watch cell from 1 MB up to ``max_mb``); bounded values are finite.
+_FLOORS = {
+    "seed": 0, "n1": 1, "n2": 1, "k": 1, "segment_steps": 1, "beta": 0,
+    "max_mb": 1,
+}
+#: Schedulers a run accepts (``--algorithm``).
 _METHODS = ("ggp", "oggp")
 
 
-def transfer_config(params: Mapping, *, stored: bool = False) -> dict:
-    """The complete, validated config ``params`` describe.
+def _checked(defaults: Mapping, params: Mapping, stored: bool) -> dict:
+    """The complete, validated config ``params`` describe over ``defaults``.
 
-    Fresh parameters may leave any key at its :data:`CONFIG_DEFAULTS`
-    value; a ``stored`` sidecar must name every key but ``engine``
-    (sidecars older than the engine choice lack it and run ``fast``).
-    Anything else that cannot run is a :class:`ConfigError`.
+    Fresh parameters may leave any key at its default; a ``stored``
+    sidecar must name every key but ``engine`` (sidecars older than the
+    engine choice lack it and run ``fast``).  Anything else that cannot
+    run is a :class:`ConfigError`.
     """
+    from repro.core.repair import validate_repair_bounds
     from repro.core.wrgp import _check_engine
+    from repro.resilience.churn import ChurnSpec
 
-    unknown = sorted(set(params) - set(CONFIG_DEFAULTS))
+    mode = defaults.get("mode", "transfer")
+    unknown = sorted(set(params) - set(defaults))
     if unknown:
-        known = ", ".join(sorted(CONFIG_DEFAULTS))
+        known = ", ".join(sorted(defaults))
         raise ConfigError(
-            f"unknown transfer parameter(s) {', '.join(unknown)}; "
+            f"unknown {mode} parameter(s) {', '.join(unknown)}; "
             f"valid keys: {known}"
         )
     if stored:
         missing = [
-            key for key in CONFIG_DEFAULTS
-            if key not in params and key != "engine"
+            key for key in defaults if key not in params and key != "engine"
         ]
         if missing:
             raise ConfigError(
                 f"stored {RUN_CONFIG_NAME} lacks {', '.join(missing)}"
             )
-    config = dict(CONFIG_DEFAULTS)
+    config = dict(defaults)
     config.update(params)
     try:
-        for key in _INT_KEYS:
-            config[key] = int(config[key])
-        for key in _FLOAT_KEYS:
-            config[key] = float(config[key])
+        # Every value but the fault/retry specs takes its default's type.
+        for key, default in defaults.items():
+            if default is not None:
+                config[key] = type(default)(config[key])
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad transfer parameter: {exc}") from exc
-    for key in ("n1", "n2", "k", "payload_kb"):
-        if config[key] <= 0:
-            raise ConfigError(f"{key} must be positive, got {config[key]}")
+        raise ConfigError(f"bad {mode} parameter: {exc}") from exc
+    for key, floor in _FLOORS.items():
+        if key in config and not floor <= config[key] < math.inf:
+            raise ConfigError(
+                f"{key} must be in [{floor}, inf), got {config[key]}"
+            )
+    if "payload_kb" in config and not 0 < config["payload_kb"] < math.inf:
+        raise ConfigError(
+            f"payload_kb must be positive and finite, got {config['payload_kb']}"
+        )
+    if config.get("mode", mode) != mode:
+        raise ConfigError(f"mode must be {mode!r}, got {config['mode']!r}")
     if config["method"] not in _METHODS:
         raise ConfigError(
             f"unknown method {config['method']!r}; valid methods: "
@@ -121,6 +156,9 @@ def transfer_config(params: Mapping, *, stored: bool = False) -> dict:
     _check_engine(config["engine"])
     # Fault and retry specs fail here, before a run starts, not mid-run.
     resilience_options(config["faults"], config["retries"])
+    if mode == "watch":
+        ChurnSpec.parse(config["churn"])
+        validate_repair_bounds(config["max_ratio"], config["max_affected"])
     return config
 
 
@@ -169,6 +207,63 @@ def resilience_options(
     return plan, retry
 
 
+@contextmanager
+def _lifecycle(
+    defaults, directory, params, faults, retries, task_timeout, fsync,
+    snapshot_every,
+):
+    """``(config, fault plan, retry policy, store, begun)`` of one run.
+
+    The ``run.json`` rules :func:`run_transfer` states, for either mode.
+    Fresh parameters are checked before the directory is touched; the
+    rest runs under the directory's lock, so no other run can begin the
+    journal or rewrite ``run.json`` in between.  The store is reopened
+    for resume once its journal has begun, is otherwise the fresh store
+    the run begins (``None`` without a directory), and is closed on the
+    way out.
+    """
+    from repro.resilience import CheckpointStore
+
+    config = None if params is None else _checked(defaults, params, False)
+    store = None
+    if directory is not None:
+        store = CheckpointStore(
+            directory, fsync=fsync, snapshot_every=snapshot_every
+        ).lock()
+    try:
+        begun = store is not None and store.exists()
+        if config is None:
+            config = _checked(defaults, read_run_config(directory), True)
+        elif begun:
+            raise ConfigError(
+                f"checkpoint directory {directory} already holds a "
+                "run; resume it or choose a fresh directory"
+            )
+        elif store is not None:
+            # The sidecar lands whole before the first journal record,
+            # so a run killed at any point afterwards is resumable.
+            path = Path(directory) / RUN_CONFIG_NAME
+            tmp = path.with_name(RUN_CONFIG_NAME + ".tmp")
+            tmp.write_text(json.dumps(config, indent=2))
+            os.replace(tmp, path)
+        plan, retry = resilience_options(
+            faults or config["faults"],
+            config["retries"] if retries is None else retries,
+            task_timeout,
+        )
+        if begun:
+            # A begun journal's run.json never changes again, so the
+            # lock may pass from this store to the resuming one.
+            store.close()
+            store = CheckpointStore.resume(
+                directory, fsync=fsync, snapshot_every=snapshot_every
+            )
+        yield config, plan, retry, store, begun
+    finally:
+        if store is not None:
+            store.close()
+
+
 def run_transfer(
     directory: str | os.PathLike | None = None,
     params: Mapping | None = None,
@@ -180,7 +275,7 @@ def run_transfer(
     fsync: str = "round",
     snapshot_every: int = 8,
 ):
-    """Start the seeded run ``params`` describe, or finish ``directory``'s.
+    """Start the seeded transfer ``params`` describe, or finish ``directory``'s.
 
     With ``params``, the validated config is written to
     ``directory/run.json`` before the first byte moves and the run
@@ -196,61 +291,81 @@ def run_transfer(
     the caller's, not the run's.  Returns the
     :class:`~repro.runtime.ResilientRunReport`.
     """
-    from repro.resilience import CheckpointStore
     from repro.runtime.executor import (
         resume_and_run_resilient,
         schedule_and_run_resilient,
     )
 
-    if params is None:
-        config = transfer_config(read_run_config(directory), stored=True)
-    else:
-        config = transfer_config(params)
-    plan, retry = resilience_options(
-        faults or config["faults"],
-        config["retries"] if retries is None else retries,
-        task_timeout,
-    )
-    store, begun = None, False
-    if directory is not None:
-        store = CheckpointStore(
-            directory, fsync=fsync, snapshot_every=snapshot_every
+    with _lifecycle(
+        CONFIG_DEFAULTS, directory, params, faults, retries, task_timeout,
+        fsync, snapshot_every,
+    ) as (config, plan, retry, store, begun):
+        graph, payloads, destinations = transfer_case(
+            config["seed"], config["n1"], config["n2"],
+            int(config["payload_kb"] * 1024),
         )
-        begun = store.exists()
-        if params is not None:
-            if begun:
-                raise ConfigError(
-                    f"checkpoint directory {directory} already holds a "
-                    "run; resume it or choose a fresh directory"
-                )
-            # The sidecar lands before the first byte moves, so a run
-            # killed at any point afterwards is resumable.
-            Path(directory).mkdir(parents=True, exist_ok=True)
-            (Path(directory) / RUN_CONFIG_NAME).write_text(
-                json.dumps(config, indent=2)
-            )
-    graph, payloads, destinations = transfer_case(
-        config["seed"], config["n1"], config["n2"],
-        int(config["payload_kb"] * 1024),
-    )
-    cluster = transfer_cluster(config)
-    if begun:
-        with CheckpointStore.resume(
-            directory, fsync=fsync, snapshot_every=snapshot_every
-        ) as resumed:
+        cluster = transfer_cluster(config)
+        if begun:
             return resume_and_run_resilient(
-                cluster, resumed, payloads, engine=config["engine"],
+                cluster, store, payloads, engine=config["engine"],
                 cache=cache, faults=plan, retry=retry,
             )
-    try:
         return schedule_and_run_resilient(
             cluster, graph, config["k"], config["beta"], payloads,
             destinations, method=config["method"], engine=config["engine"],
             cache=cache, faults=plan, retry=retry, checkpoint=store,
         )
-    finally:
-        if store is not None:
-            store.close()
+
+
+def run_watch(
+    directory: str | os.PathLike | None = None,
+    params: Mapping | None = None,
+    *,
+    faults: str | None = None,
+    retries: str | int | None = None,
+    task_timeout: float | None = None,
+    fsync: str = "round",
+    snapshot_every: int = 8,
+):
+    """Start the live-churn run ``params`` describe, or finish ``directory``'s.
+
+    :func:`run_transfer`'s rules and arguments but ``cache``, over
+    :data:`WATCH_DEFAULTS` (also ``kpbs watch``'s flag defaults); returns
+    the :class:`~repro.netsim.watch.ChurnOutcome`.
+    """
+    from repro.netsim.runner import uniform_traffic
+    from repro.netsim.topology import NetworkSpec
+    from repro.netsim.watch import (
+        resume_redistribution_churn,
+        run_redistribution_churn,
+    )
+    from repro.resilience.churn import ChurnSpec
+
+    with _lifecycle(
+        WATCH_DEFAULTS, directory, params, faults, retries, task_timeout,
+        fsync, snapshot_every,
+    ) as (config, plan, retry, store, begun):
+        # The paper's testbed (§5.2) at the recorded cluster sizes.
+        spec = dataclasses.replace(
+            NetworkSpec.paper_testbed(config["k"], config["beta"]),
+            n1=config["n1"], n2=config["n2"],
+        )
+        churn = ChurnSpec.parse(config["churn"]).process()
+        options = dict(
+            cache=None, faults=plan, retry=retry, engine=config["engine"],
+            max_ratio=config["max_ratio"],
+            max_affected_frac=config["max_affected"],
+        )
+        if begun:
+            return resume_redistribution_churn(spec, store, churn, **options)
+        traffic = uniform_traffic(
+            config["seed"], spec.n1, spec.n2, 1.0, config["max_mb"]
+        )
+        return run_redistribution_churn(
+            spec, traffic, config["method"], churn,
+            segment_steps=config["segment_steps"], checkpoint=store,
+            **options,
+        )
 
 
 def transfer_case(seed: int, n1: int, n2: int, payload_bytes: int) -> tuple:
@@ -299,3 +414,4 @@ def transfer_cluster(config: Mapping):
         nic_rate2=config["nic_mbit"] * MBIT_BYTES,
         backbone_rate=config["backbone_mbit"] * MBIT_BYTES,
     )
+

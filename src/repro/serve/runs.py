@@ -168,10 +168,10 @@ class RunRegistry:
     def resume_incomplete(self) -> list[dict]:
         """Finish every run a crash left behind; returns their results.
 
-        A run that cannot run — its stored ``run.json`` fails
-        :func:`~repro.runtime.seeded.transfer_config` (not JSON, a key
-        missing, an engine or method this version does not know), or its
-        journal is unreadable — gets a ``failed`` result and a
+        A run that cannot run — its stored ``run.json`` fails the
+        check :func:`~repro.runtime.seeded.run_transfer` makes (not
+        JSON, a key missing, an engine or method this version does not
+        know), or its journal is unreadable — gets a ``failed`` result and a
         ``server.error`` event, and the next run is resumed.  A run another process holds still raises
         :class:`RunActiveError`.
         """

@@ -86,6 +86,16 @@ class TestRun:
         assert main(["run", "ablation_steps"]) == 0
         assert "oggp" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "fig7", "--draws", "0"], ["run", "fig7", "--jobs", "-1"],
+         ["simulate", "--k", "3", "--max-mb", "11", "--jobs", "-2"]],
+        ids=["zero-draws", "run-negative-jobs", "simulate-negative-jobs"],
+    )
+    def test_bad_draws_or_jobs_fail_cleanly(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestRunExtensions:
     def test_heterogeneity(self, capsys):
@@ -483,7 +493,7 @@ class TestResume:
             ("{}", "lacks seed"),
             ("[1, 2]", "not an object"),
             ("not json", "not valid JSON"),
-            ('{"mode": "watch"}', "lacks churn"),
+            ('{"mode": "watch"}', "lacks seed"),
         ],
         ids=["missing", "empty", "list", "not-json", "watch-keys"],
     )
@@ -632,6 +642,114 @@ class TestWatch:
         # Resume re-reads churn/faults/retries from run.json (overridable).
         assert main(
             ["resume", "--checkpoint-dir", ckdir, "--retries", "50"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "complete:  True" in out
+        assert self.digest(out) == reference
+
+    def partial_run(self, ckdir, capsys):
+        """A checkpointed run whose starved retry budget left it partial."""
+        assert main(
+            ["watch", "--seed", "5", "--checkpoint-dir", str(ckdir),
+             *self.FAST, *self.CHURN, *self.FAULTS, "--retries", "2",
+             "--snapshot-every", "1", "--quiet"]
+        ) == 1
+        capsys.readouterr()
+
+    def reference_digest(self, capsys):
+        assert main(
+            ["watch", "--seed", "5", *self.FAST, *self.CHURN, *self.FAULTS,
+             "--retries", "50", "--quiet"]
+        ) == 0
+        return self.digest(capsys.readouterr().out)
+
+    def test_zero_k_fails_cleanly(self, tmp_path, capsys):
+        ckdir = tmp_path / "ck"
+        assert main(
+            ["watch", *self.FAST, "--k", "0", "--checkpoint-dir", str(ckdir)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "k must be" in err
+        assert not ckdir.exists()
+
+    def test_refused_watch_leaves_the_begun_run_alone(self, tmp_path, capsys):
+        ckdir = tmp_path / "ck"
+        self.partial_run(ckdir, capsys)
+        before = {p.name: p.read_bytes() for p in ckdir.iterdir()}
+        assert main(
+            ["watch", "--seed", "5", "--checkpoint-dir", str(ckdir),
+             *self.FAST, *self.FAULTS,
+             "--churn", "seed=99,inject=1,remove=1,resize=1,events=2"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "already holds a run" in err
+        assert {p.name: p.read_bytes() for p in ckdir.iterdir()} == before
+
+    @pytest.mark.parametrize("command", ["watch", "transfer", "resume"])
+    def test_locked_directory_keeps_its_run_json(
+        self, tmp_path, capsys, command
+    ):
+        from repro.resilience import CheckpointStore
+        from repro.runtime import seeded
+
+        ckdir = tmp_path / "ck"
+        # Another run holds the lock: it has written its run.json and is
+        # still setting up, so its journal has not begun.
+        holder = CheckpointStore(ckdir).lock()
+        try:
+            (ckdir / "run.json").write_text(
+                json.dumps(seeded.WATCH_DEFAULTS, indent=2)
+            )
+            before = {p.name: p.read_bytes() for p in ckdir.iterdir()}
+            argv = [command, "--checkpoint-dir", str(ckdir)]
+            if command == "watch":
+                argv += [*self.FAST, *self.CHURN]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "locked by another" in err
+            assert {p.name: p.read_bytes() for p in ckdir.iterdir()} == before
+        finally:
+            holder.close()
+
+    @pytest.mark.parametrize(
+        "patch",
+        [{"k": 0}, {"k": "x"}, {"n1": -1}, {"churn": "bogus=1"}],
+        ids=["k-zero", "k-text", "n1-negative", "churn-bogus"],
+    )
+    def test_unrunnable_stored_config_fails_cleanly(
+        self, tmp_path, capsys, patch
+    ):
+        ckdir = tmp_path / "ck"
+        self.partial_run(ckdir, capsys)
+        config = json.loads((ckdir / "run.json").read_text())
+        (ckdir / "run.json").write_text(json.dumps({**config, **patch}))
+        before = {p.name: p.read_bytes() for p in ckdir.iterdir()}
+        assert main(["resume", "--checkpoint-dir", str(ckdir)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert {p.name: p.read_bytes() for p in ckdir.iterdir()} == before
+
+    @pytest.mark.parametrize(
+        "left", ["config-only", "empty-journal"],
+    )
+    def test_resume_finishes_a_run_whose_journal_holds_nothing(
+        self, tmp_path, capsys, left
+    ):
+        from repro.resilience.journal import JOURNAL_NAME, SNAPSHOT_NAME
+
+        reference = self.reference_digest(capsys)
+        ckdir = tmp_path / "ck"
+        self.partial_run(ckdir, capsys)
+        if left == "config-only":
+            # Killed after run.json landed, before the journal began.
+            for name in (JOURNAL_NAME, SNAPSHOT_NAME):
+                (ckdir / name).unlink(missing_ok=True)
+        else:
+            # Killed inside CheckpointStore.snapshot, between truncating
+            # the journal and re-appending its metadata record.
+            assert (ckdir / SNAPSHOT_NAME).stat().st_size > 0
+            (ckdir / JOURNAL_NAME).write_bytes(b"")
+        assert main(
+            ["resume", "--checkpoint-dir", str(ckdir), "--retries", "50"]
         ) == 0
         out = capsys.readouterr().out
         assert "complete:  True" in out

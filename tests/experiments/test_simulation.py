@@ -63,7 +63,31 @@ class TestMeasureRatios:
     def test_parallel_equals_serial(self):
         serial = measure_ratios(TINY, k=3, beta=1.0, point_index=4)
         parallel = measure_ratios(
-            TINY, k=3, beta=1.0, point_index=4, processes=3
+            TINY, k=3, beta=1.0, point_index=4, jobs=3
         )
         assert serial.ggp == parallel.ggp
         assert serial.oggp == parallel.oggp
+
+    def test_jobs_zero_means_one_worker_per_cpu(self, monkeypatch):
+        import os
+
+        import repro.parallel
+
+        sizes = []
+
+        class Recording(repro.parallel.WorkerPool):
+            def __init__(self, jobs, *args, **kwargs):
+                sizes.append(jobs)
+                super().__init__(jobs, *args, **kwargs)
+
+        monkeypatch.setattr(repro.parallel, "WorkerPool", Recording)
+        serial = measure_ratios(TINY, k=3, beta=1.0, point_index=4)
+        assert sizes == []
+        every_cpu = measure_ratios(TINY, k=3, beta=1.0, point_index=4, jobs=0)
+        cpus = os.cpu_count() or 1
+        assert sizes == ([cpus] if cpus > 1 else [])
+        assert every_cpu == serial
+
+    def test_negative_jobs_rejected(self):
+        with pytest.raises(ConfigError, match="jobs"):
+            measure_ratios(TINY, k=3, beta=1.0, point_index=4, jobs=-1)

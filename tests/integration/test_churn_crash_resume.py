@@ -48,9 +48,14 @@ def digest_of(stdout: str) -> str:
 
 
 def finish(ckdir: str) -> subprocess.CompletedProcess:
-    """Drive a (possibly) killed watch run to completion."""
-    journal = os.path.join(ckdir, "journal.kpbj")
-    if os.path.exists(journal) and os.path.getsize(journal) > 0:
+    """Drive a (possibly) killed watch run to completion.
+
+    ``kpbs resume`` finishes any run whose ``run.json`` landed: it
+    resumes a begun journal (a snapshot beside an emptied journal
+    included) and starts a run whose journal never began.  Only a kill
+    before ``run.json`` landed needs a fresh ``kpbs watch``.
+    """
+    if os.path.exists(os.path.join(ckdir, "run.json")):
         return kpbs("resume", "--checkpoint-dir", ckdir)
     return kpbs("watch", "--checkpoint-dir", ckdir, *WATCH_ARGS)
 

@@ -151,6 +151,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="valid engines"):
             schedule_batch([graph], "oggp", k=1, beta=0.0, engine="resume")
 
+    def test_negative_jobs_rejected_before_the_serial_fallback(self):
+        # One tiny graph takes the serial fallback; jobs is checked first.
+        graph = BipartiteGraph.from_edges([(0, 0, 2)])
+        with pytest.raises(ConfigError, match="jobs must be >= 1"):
+            schedule_batch([graph], "oggp", k=1, beta=0.0, jobs=-2)
+
 
 class TestFailureSurfacing:
     def test_worker_error_names_graph_index(self):
